@@ -1,7 +1,6 @@
 #include "nocmap/core/explorer.hpp"
 
 #include "nocmap/search/greedy.hpp"
-#include "nocmap/sim/batch_evaluator.hpp"
 
 #include <algorithm>
 #include <atomic>
@@ -139,22 +138,6 @@ search::SearchResult Explorer::run_sa_chains(
   return best;
 }
 
-search::SearchResult Explorer::run_batched_exhaustive() const {
-  // The CDCM objective is a pure function of the mapping, so the search
-  // reduces to pricing every enumerated placement — exactly the shape
-  // sim::BatchEvaluator parallelizes. Enumeration-order reduction keeps the
-  // outcome byte-identical to the serial engine for every thread count.
-  sim::SimOptions so = sim_options();
-  so.record_traces = false;
-  sim::BatchEvaluator evaluator(cdcg_, topo_, options_.tech, so,
-                                std::max<std::uint32_t>(1, options_.threads));
-  return search::exhaustive_search_batched(
-      cdcg_.num_cores(), topo_,
-      [&](const mapping::Mapping* mappings, std::size_t count,
-          double* costs) { evaluator.evaluate_costs(mappings, count, costs); },
-      options_.es, std::max<std::uint32_t>(1, options_.es_batch_size));
-}
-
 search::SearchResult Explorer::run_branch_and_bound(
     const CostFactory& make_cost, const mapping::Mapping* incumbent) const {
   search::BnbOptions bo = options_.bnb;
@@ -215,11 +198,13 @@ ModelOutcome Explorer::run(const CostFactory& make_cost,
     if (bnb) return run_branch_and_bound(make_cost, sa_initial);
     if (pf) return run_portfolio(make_cost, sa_initial, pf_info);
     if (exhaustive) {
-      // The timing-aware objectives (CDCM, and hybrid — whose cost() IS
-      // the CDCM objective) go through the batch evaluator; CWM keeps the
-      // cheap serial engine.
-      if (timing_model) return run_batched_exhaustive();
-      const std::unique_ptr<mapping::CostFunction> cost = make_cost();
+      // The bound-pruned serial engine. Hybrid's cost() IS the CDCM
+      // objective, so the timing-aware models search with a plain CdcmCost.
+      const std::unique_ptr<mapping::CostFunction> cost =
+          timing_model ? std::make_unique<mapping::CdcmCost>(
+                             cdcg_, topo_, options_.tech, options_.routing,
+                             sim_options())
+                       : make_cost();
       return search::exhaustive_search(*cost, topo_, options_.es);
     }
     return run_sa_chains(make_cost, sa_initial);

@@ -92,9 +92,11 @@ struct ExplorerOptions {
   /// (seed, i). The lowest-cost chain wins, ties broken by chain index, so
   /// the outcome depends only on (seed, sa_chains), never on `threads`.
   std::uint32_t sa_chains = 1;
-  /// Worker threads running the SA chains, the CDCM exhaustive-search
-  /// shards (via sim::BatchEvaluator), and available to callers like the
-  /// CLI bench for application-level parallelism. Each worker owns its
+  /// Worker threads running the SA chains, the branch-and-bound subtree
+  /// tasks and the portfolio members, and available to callers like the
+  /// CLI bench for application-level parallelism. Exhaustive search (CWM
+  /// and CDCM alike) runs serially on the caller's thread: its bound
+  /// pruning leaves too few simulations to shard. Each worker owns its
   /// cost function / simulator arena, so no evaluation state is shared.
   /// Purely a throughput knob: results are identical for any value. 0 is
   /// treated as 1.
@@ -106,7 +108,10 @@ struct ExplorerOptions {
   /// (1 = every move, i.e. pure CDCM pricing; 0 = never, step resyncs
   /// only).
   std::uint32_t hybrid_cadence = 8;
-  /// Shard size for batched CDCM exhaustive search.
+  /// Shard size for search::exhaustive_search_batched. The Explorer itself
+  /// no longer reads it (its exhaustive search is serial and bound-pruned);
+  /// only callers that drive the batched engine with these options do
+  /// (the benchmark's traced Table-2 run). Remove it once they stop.
   std::uint32_t es_batch_size = 1024;
   /// Evaluation backend for the timing-aware model and the ground-truth
   /// comparison (docs/simulation.md): the link-claim model (the paper's,
@@ -229,8 +234,6 @@ class Explorer {
                                      PortfolioSummary& summary) const;
   search::SearchResult run_sa_chains(const CostFactory& make_cost,
                                      const mapping::Mapping* sa_initial) const;
-  /// CDCM/hybrid exhaustive search, sharded over a sim::BatchEvaluator.
-  search::SearchResult run_batched_exhaustive() const;
   /// Branch and bound with a greedy (or `incumbent`-provided) + SA seed.
   search::SearchResult run_branch_and_bound(
       const CostFactory& make_cost, const mapping::Mapping* incumbent) const;

@@ -284,6 +284,122 @@ double min_cost_assignment(const double* a, std::size_t rows,
   return cost;
 }
 
+/// The minimal hop count between distinct tiles: the router count K of the
+/// shortest route any two cores can be given.
+std::uint32_t minimal_pair_hops(const noc::Topology& topo) {
+  std::uint32_t min_k = std::numeric_limits<std::uint32_t>::max();
+  for (noc::TileId a = 0; a < topo.num_tiles(); ++a) {
+    for (noc::TileId b = 0; b < topo.num_tiles(); ++b) {
+      if (a != b) min_k = std::min(min_k, topo.distance(a, b) + 1);
+    }
+  }
+  return min_k;
+}
+
+constexpr noc::TileId kUnplaced = std::numeric_limits<noc::TileId>::max();
+
+/// Placement-aware floor on the CDCM static energy (Equation 9): the
+/// critical path of the dependence DAG with every packet delivered at its
+/// contention-free Equation-8 latency. A packet with both endpoints placed
+/// is priced at the router count of its bound route; a packet with one
+/// placed endpoint at the fewest routers from (or to) that tile to any free
+/// tile, where the partner must land; a packet with neither placed at
+/// minimal_pair_hops. Contention only adds waits, so every simulated
+/// delivery — and therefore texec — is at least this one, and static
+/// energy is monotone in texec. Built per LowerBound, never by the CdcmCost
+/// constructor.
+class CriticalPathFloor {
+ public:
+  CriticalPathFloor(const graph::Cdcg& cdcg, const noc::Topology& topo,
+                    const energy::Technology& tech, std::uint32_t max_k)
+      : tech_(tech),
+        num_tiles_(topo.num_tiles()),
+        min_pair_k_(minimal_pair_hops(topo)) {
+    // Packets are stored in topological order, predecessors as positions in
+    // that order (CSR), so one forward pass prices the whole DAG.
+    const std::vector<graph::PacketId> order = cdcg.topological_order();
+    std::vector<std::uint32_t> pos(order.size(), 0);
+    for (std::uint32_t i = 0; i < order.size(); ++i) pos[order[i]] = i;
+    pred_off_.push_back(0);
+    for (const graph::PacketId p : order) {
+      const graph::Packet& pk = cdcg.packet(p);
+      src_.push_back(pk.src);
+      dst_.push_back(pk.dst);
+      comp_ns_.push_back(static_cast<double>(pk.comp_time) *
+                         tech.clock_period_ns);
+      serial_ns_.push_back(energy::packet_delay_ns(tech, tech.flits(pk.bits)));
+      for (const graph::PacketId q : cdcg.predecessors(p)) {
+        pred_.push_back(pos[q]);
+      }
+      pred_off_.push_back(static_cast<std::uint32_t>(pred_.size()));
+    }
+    routing_ns_.resize(max_k + 1, 0.0);
+    for (std::uint32_t k = 1; k <= max_k; ++k) {
+      routing_ns_[k] = energy::routing_delay_ns(tech, k);
+    }
+    delivered_.resize(order.size(), 0.0);
+    reach_out_.resize(num_tiles_, 0);
+    reach_in_.resize(num_tiles_, 0);
+  }
+
+  std::size_t num_packets() const { return src_.size(); }
+
+  /// Static energy of the contention-free critical path under the partial
+  /// placement `placed` (tile per core, kUnplaced when free). `occupied`
+  /// flags tiles, `free` lists the unoccupied ones.
+  double static_j(const std::vector<noc::TileId>& placed,
+                  const std::vector<char>& occupied,
+                  const std::vector<noc::TileId>& free,
+                  const noc::RouteTable& table) const {
+    if (!free.empty()) {
+      for (noc::TileId t = 0; t < num_tiles_; ++t) {
+        if (!occupied[t]) continue;
+        std::uint32_t out = std::numeric_limits<std::uint32_t>::max();
+        std::uint32_t in = out;
+        for (const noc::TileId u : free) {
+          out = std::min(out, table.hops(t, u));
+          in = std::min(in, table.hops(u, t));
+        }
+        reach_out_[t] = out;
+        reach_in_[t] = in;
+      }
+    }
+    double texec = 0.0;
+    for (std::size_t i = 0; i < src_.size(); ++i) {
+      double ready = 0.0;
+      for (std::uint32_t j = pred_off_[i]; j < pred_off_[i + 1]; ++j) {
+        ready = std::max(ready, delivered_[pred_[j]]);
+      }
+      const noc::TileId s = placed[src_[i]];
+      const noc::TileId d = placed[dst_[i]];
+      std::uint32_t k = min_pair_k_;
+      if (s != kUnplaced && d != kUnplaced) {
+        k = table.hops(s, d);
+      } else if (s != kUnplaced) {
+        k = reach_out_[s];
+      } else if (d != kUnplaced) {
+        k = reach_in_[d];
+      }
+      delivered_[i] = ready + comp_ns_[i] + (routing_ns_[k] + serial_ns_[i]);
+      texec = std::max(texec, delivered_[i]);
+    }
+    return energy::static_noc_energy(tech_, num_tiles_, texec);
+  }
+
+ private:
+  energy::Technology tech_;
+  std::uint32_t num_tiles_;
+  std::uint32_t min_pair_k_;
+  std::vector<graph::CoreId> src_, dst_;  ///< Per packet, topological order.
+  std::vector<double> comp_ns_;           ///< t_aq * lambda.
+  std::vector<double> serial_ns_;         ///< Equation 7 (flit streaming).
+  std::vector<double> routing_ns_;        ///< Equation 6 per router count.
+  std::vector<std::uint32_t> pred_off_, pred_;
+  mutable std::vector<double> delivered_;
+  /// Per occupied tile: fewest routers to / from any free tile.
+  mutable std::vector<std::uint32_t> reach_out_, reach_in_;
+};
+
 /// The hop lower bound shared by the CWM and CDCM objectives.
 ///
 /// Invariant classification of every CWG edge against the current partial
@@ -304,23 +420,30 @@ double min_cost_assignment(const double* a, std::size_t rows,
 ///    whole edge, so half from each is admissible), which makes candidate
 ///    tiles in sparse free regions expensive exactly when they should be.
 ///
-/// The prefix is maintained incrementally in O(deg(core)) per
-/// place()/unplace(); `extra_floor_j` adds any mapping-independent term
-/// (zero for CWM, the static-energy critical-path floor for CDCM). Once
-/// every core is placed, bound() recomputes the total fresh in edge order,
-/// which makes it bitwise equal to CwmCost::cost() (and immune to push/pop
-/// floating-point drift).
+/// The CDCM objective adds its CriticalPathFloor. The prefix is summed
+/// fresh in edge order on every bound() call (O(|E|)), so nothing drifts
+/// under place()/unplace() and the complete-placement CWM value is bitwise
+/// CwmCost::cost().
+///
+/// Floating-point admissibility: every term is non-negative, so each
+/// computed sum is within (terms x unit roundoff) of its exact value, and
+/// so is the simulator's own energy. bound() therefore scales its result by
+/// 1 - delta, with delta = 8 x (operation count) x DBL_EPSILON, which makes
+/// "partial bound <= bound of any completion <= cost()" hold bitwise rather
+/// than up to rounding: complete placements are scaled by 1 - delta (not at
+/// all for CWM, whose value is the exact cost), partial ones by 1 - 2 delta
+/// (1 - delta for CWM). docs/search.md spells the argument out.
 class HopLowerBound final : public CostFunction::LowerBound {
  public:
+  /// `cdcg`, when given, adds its CriticalPathFloor (the CDCM objective).
   HopLowerBound(std::vector<graph::CwgEdge> edges, std::size_t num_cores,
                 const noc::Topology& topo, const energy::Technology& tech,
-                noc::RoutingAlgorithm routing, double extra_floor_j)
+                noc::RoutingAlgorithm routing,
+                const graph::Cdcg* cdcg = nullptr)
       : edges_(std::move(edges)),
         table_(topo, routing),
-        tech_(tech),
         num_cores_(num_cores),
-        num_tiles_(topo.num_tiles()),
-        extra_floor_j_(extra_floor_j) {
+        num_tiles_(topo.num_tiles()) {
     // Per-hop-count energy per bit, up to the topology's diameter.
     std::uint32_t max_k = 1;
     for (noc::TileId s = 0; s < num_tiles_; ++s) {
@@ -330,7 +453,7 @@ class HopLowerBound final : public CostFunction::LowerBound {
     }
     ebit_.resize(max_k + 1, 0.0);
     for (std::uint32_t k = 1; k <= max_k; ++k) {
-      ebit_[k] = energy::dynamic_bit_energy(tech_, k);
+      ebit_[k] = energy::dynamic_bit_energy(tech, k);
     }
 
     incident_.resize(num_cores_);
@@ -345,6 +468,22 @@ class HopLowerBound final : public CostFunction::LowerBound {
     placed_.resize(num_cores_, kUnplaced);
     occupied_.resize(num_tiles_, 0);
     free_ebit_.resize(num_tiles_, 0.0);
+
+    // The safety factor: an over-count of the rounded operations in one
+    // bound() call (prefix, matrix rows, assignment, critical path) and in
+    // the simulator's energy sum it is compared against.
+    std::size_t max_deg = 0;
+    for (const auto& inc : incident_) max_deg = std::max(max_deg, inc.size());
+    std::size_t ops = edges_.size() + num_cores_ * (max_deg + 2) +
+                      num_cores_ * num_tiles_ + 16;
+    if (cdcg != nullptr) {
+      floor_.emplace(*cdcg, topo, tech, max_k);
+      ops += floor_->num_packets() * (2 * max_k + 8);
+    }
+    const double delta =
+        8.0 * static_cast<double>(ops) * std::numeric_limits<double>::epsilon();
+    complete_scale_ = floor_ ? 1.0 - delta : 1.0;
+    partial_scale_ = complete_scale_ - delta;
     reset();
   }
 
@@ -352,17 +491,9 @@ class HopLowerBound final : public CostFunction::LowerBound {
     std::fill(placed_.begin(), placed_.end(), kUnplaced);
     std::fill(occupied_.begin(), occupied_.end(), 0);
     num_placed_ = 0;
-    prefix_j_ = 0.0;
   }
 
   void place(graph::CoreId core, noc::TileId tile) override {
-    for (const Incident& e : incident_[core]) {
-      const noc::TileId far = placed_[e.other];
-      if (far != kUnplaced) {
-        prefix_j_ += e.bits * ebit_[e.outgoing ? table_.hops(tile, far)
-                                               : table_.hops(far, tile)];
-      }
-    }
     placed_[core] = tile;
     occupied_[tile] = 1;
     ++num_placed_;
@@ -372,25 +503,34 @@ class HopLowerBound final : public CostFunction::LowerBound {
     placed_[core] = kUnplaced;
     occupied_[tile] = 0;
     --num_placed_;
-    for (const Incident& e : incident_[core]) {
-      const noc::TileId far = placed_[e.other];
-      if (far != kUnplaced) {
-        prefix_j_ -= e.bits * ebit_[e.outgoing ? table_.hops(tile, far)
-                                               : table_.hops(far, tile)];
-      }
-    }
   }
 
   double bound(double prune_above) const override {
-    if (num_placed_ == num_cores_) return complete_cost() + extra_floor_j_;
-
-    // Free tiles, and per free tile the energy-per-bit of one hop to the
-    // nearest *other* free tile (either direction — admissible for both
-    // edge orientations). O(free^2) hop-table lookups per call.
+    // The prefix, in edge order — the exact CwmCost::cost() sum once every
+    // core is placed.
+    double prefix_j = 0.0;
+    for (const graph::CwgEdge& e : edges_) {
+      const noc::TileId s = placed_[e.src];
+      const noc::TileId d = placed_[e.dst];
+      if (s != kUnplaced && d != kUnplaced) {
+        prefix_j += static_cast<double>(e.bits) * ebit_[table_.hops(s, d)];
+      }
+    }
     free_.clear();
     for (noc::TileId u = 0; u < num_tiles_; ++u) {
       if (!occupied_[u]) free_.push_back(u);
     }
+    const double base =
+        prefix_j +
+        (floor_ ? floor_->static_j(placed_, occupied_, free_, table_) : 0.0);
+    if (num_placed_ == num_cores_) return base * complete_scale_;
+
+    const double scale = partial_scale_;
+    if (base * scale > prune_above) return base * scale;
+
+    // Per free tile, the energy-per-bit of one hop to the nearest *other*
+    // free tile (either direction — admissible for both edge orientations).
+    // O(free^2) hop-table lookups per call.
     for (const noc::TileId u : free_) {
       std::uint32_t dmin = std::numeric_limits<std::uint32_t>::max();
       for (const noc::TileId v : free_) {
@@ -413,7 +553,6 @@ class HopLowerBound final : public CostFunction::LowerBound {
     // the same good tiles.
     matrix_.clear();
     std::size_t rows = 0;
-    const double base = prefix_j_ + extra_floor_j_;
     double cheap = base;  ///< base + sum of row minima: admissible itself.
     for (graph::CoreId c = 0; c < num_cores_; ++c) {
       if (placed_[c] != kUnplaced) continue;
@@ -443,12 +582,13 @@ class HopLowerBound final : public CostFunction::LowerBound {
       // Cascade: a partial sum of row minima is already admissible, so the
       // moment it exceeds the caller's threshold the assignment solve (and
       // the remaining rows) is unnecessary.
-      if (cheap > prune_above) return cheap;
+      if (cheap * scale > prune_above) return cheap * scale;
     }
-    if (rows == 0) return base;
-    return base + min_cost_assignment(matrix_.data(), rows, free_.size(),
-                                      hung_u_, hung_v_, hung_match_,
-                                      hung_minv_, hung_way_, hung_used_);
+    if (rows == 0) return base * scale;
+    return (base + min_cost_assignment(matrix_.data(), rows, free_.size(),
+                                       hung_u_, hung_v_, hung_match_,
+                                       hung_minv_, hung_way_, hung_used_)) *
+           scale;
   }
 
   std::uint64_t core_traffic(graph::CoreId core) const override {
@@ -456,9 +596,6 @@ class HopLowerBound final : public CostFunction::LowerBound {
   }
 
  private:
-  static constexpr noc::TileId kUnplaced =
-      std::numeric_limits<noc::TileId>::max();
-
   /// One edge endpoint as seen from a core; in bound()'s scratch buffer
   /// `other` is reused to hold the placed partner's *tile*.
   struct Incident {
@@ -467,30 +604,20 @@ class HopLowerBound final : public CostFunction::LowerBound {
     bool outgoing = false;
   };
 
-  /// Fresh full evaluation in edge order — the exact CwmCost::cost() sum.
-  double complete_cost() const {
-    double energy_j = 0.0;
-    for (const graph::CwgEdge& e : edges_) {
-      const std::uint32_t k = table_.hops(placed_[e.src], placed_[e.dst]);
-      energy_j += energy::dynamic_packet_energy(tech_, e.bits, k);
-    }
-    return energy_j;
-  }
-
   std::vector<graph::CwgEdge> edges_;
   std::vector<std::vector<Incident>> incident_;
   std::vector<std::uint64_t> traffic_;
   noc::RouteTable table_;
-  energy::Technology tech_;
   std::size_t num_cores_;
   std::uint32_t num_tiles_;
   std::vector<double> ebit_;       ///< dynamic_bit_energy per hop count.
-  double extra_floor_j_ = 0.0;
+  std::optional<CriticalPathFloor> floor_;  ///< CDCM only.
+  double complete_scale_ = 1.0;
+  double partial_scale_ = 1.0;
 
   std::vector<noc::TileId> placed_;  ///< Per core; kUnplaced when free.
   std::vector<char> occupied_;       ///< Per tile.
   std::size_t num_placed_ = 0;
-  double prefix_j_ = 0.0;
   mutable std::vector<Incident> scratch_;
   mutable std::vector<noc::TileId> free_;
   mutable std::vector<double> free_ebit_;  ///< Indexed by tile.
@@ -501,56 +628,17 @@ class HopLowerBound final : public CostFunction::LowerBound {
   mutable std::vector<char> hung_used_;
 };
 
-/// Mapping-independent floor on the CDCM execution time: the critical path
-/// of the dependence DAG with every packet delivered at the contention-free
-/// Equation-8 latency of a minimal route. Any mapping places distinct cores
-/// on distinct tiles, so every route has at least `min_pair_k` routers and
-/// contention only adds delay.
-double cdcg_texec_floor_ns(const graph::Cdcg& cdcg,
-                           const energy::Technology& tech,
-                           std::uint32_t min_pair_k) {
-  std::vector<double> delivered(cdcg.num_packets(), 0.0);
-  double texec = 0.0;
-  for (graph::PacketId p : cdcg.topological_order()) {
-    double ready = 0.0;
-    for (graph::PacketId q : cdcg.predecessors(p)) {
-      ready = std::max(ready, delivered[q]);
-    }
-    const graph::Packet& pk = cdcg.packet(p);
-    delivered[p] = ready +
-                   static_cast<double>(pk.comp_time) * tech.clock_period_ns +
-                   energy::total_packet_delay_ns(tech, min_pair_k,
-                                                 tech.flits(pk.bits));
-    texec = std::max(texec, delivered[p]);
-  }
-  return texec;
-}
-
-/// The minimal hop count between distinct tiles (the K used by both floors).
-std::uint32_t minimal_pair_hops(const noc::Topology& topo) {
-  std::uint32_t min_k = std::numeric_limits<std::uint32_t>::max();
-  for (noc::TileId a = 0; a < topo.num_tiles(); ++a) {
-    for (noc::TileId b = 0; b < topo.num_tiles(); ++b) {
-      if (a != b) min_k = std::min(min_k, topo.distance(a, b) + 1);
-    }
-  }
-  return min_k;
-}
-
 }  // namespace
 
 std::unique_ptr<CostFunction::LowerBound> CwmCost::make_lower_bound() const {
   return std::make_unique<HopLowerBound>(edges_, num_cores_, *topo_, tech_,
-                                         routing_, /*extra_floor_j=*/0.0);
+                                         routing_);
 }
 
 std::unique_ptr<CostFunction::LowerBound> CdcmCost::make_lower_bound() const {
-  const graph::Cwg cwg = cdcg_.to_cwg();
-  const double static_floor_j = energy::static_noc_energy(
-      tech_, topo_.num_tiles(),
-      cdcg_texec_floor_ns(cdcg_, tech_, minimal_pair_hops(topo_)));
-  return std::make_unique<HopLowerBound>(cwg.edges(), cdcg_.num_cores(), topo_,
-                                         tech_, routing_, static_floor_j);
+  return std::make_unique<HopLowerBound>(cdcg_.to_cwg().edges(),
+                                         cdcg_.num_cores(), topo_, tech_,
+                                         routing_, &cdcg_);
 }
 
 double cwm_dynamic_energy(const graph::Cwg& cwg, const noc::Topology& topo,

@@ -157,16 +157,20 @@ class CostFunction {
     virtual void reset() = 0;
 
     /// Record that `core` now occupies `tile` / no longer occupies `tile`.
-    /// O(deg(core)) via the per-core incident-edge lists. Calls must nest
-    /// stack-like per core and never place a core or tile twice.
+    /// O(1); bound() does the pricing. Calls must nest stack-like per core
+    /// and never place a core or tile twice.
     virtual void place(graph::CoreId core, noc::TileId tile) = 0;
     virtual void unplace(graph::CoreId core, noc::TileId tile) = 0;
 
     /// Admissible lower bound on cost(m) over every complete mapping m that
     /// extends the current partial placement (unplaced cores on currently
-    /// free tiles). For CwmCost the bound equals cost(m) exactly once all
-    /// cores are placed; for CdcmCost it stays a strict lower bound (the
-    /// simulated static energy exceeds the critical-path floor).
+    /// free tiles). Admissible bitwise, not just up to rounding: the value
+    /// of a partial placement is <= the value of each of its completions,
+    /// which is <= the double cost(m) returns (the shipped bounds scale
+    /// their result by a 1 - n*epsilon safety factor; docs/search.md). For
+    /// CwmCost the bound equals cost(m) exactly once all cores are placed;
+    /// for CdcmCost it is the contention-free critical path's energy, which
+    /// the simulated cost meets only when no packet ever waits.
     ///
     /// `prune_above` is a cascade hint: the caller only cares whether the
     /// bound exceeds it. An implementation may return any admissible bound
@@ -194,10 +198,10 @@ class CostFunction {
 
   /// True when cost() is exactly invariant under the bound topology's
   /// symmetry_maps() (CWM: hop counts are preserved by automorphisms).
-  /// Branch-and-bound only applies the first-tile symmetry collapse to
-  /// invariant objectives; the CDCM simulation is only approximately
-  /// invariant (a reflection maps XY routes onto YX routes), so it is
-  /// searched unrestricted.
+  /// Exhaustive search and branch and bound only apply the first-tile
+  /// symmetry collapse to invariant objectives; the CDCM simulation is only
+  /// approximately invariant (a reflection maps XY routes onto YX routes),
+  /// so it is searched unrestricted.
   virtual bool symmetry_invariant() const { return false; }
 };
 
@@ -311,10 +315,12 @@ class CdcmCost final : public CostFunction {
   void apply_move(Mapping& m, const std::pair<noc::TileId, noc::TileId>* swaps,
                   std::size_t count) const override;
 
-  /// The CWM-style hop bound on the packet graph plus the mapping-independent
-  /// static-energy floor (critical path of the CDCG at minimal routes, no
-  /// contention) — provably <= the simulated Equation-10 cost; the argument
-  /// is spelled out in docs/search.md.
+  /// The CWM-style hop bound on the packet graph plus the static energy of
+  /// the contention-free critical path under the partial placement (placed
+  /// packets at their bound routes' router counts, the rest at the fewest
+  /// routers still reachable) — provably <= the simulated Equation-10 cost;
+  /// the argument is spelled out in docs/search.md. Its tables are built
+  /// by make_lower_bound(), never by the constructor.
   bool has_lower_bound() const override { return true; }
   std::unique_ptr<LowerBound> make_lower_bound() const override;
 

@@ -41,18 +41,6 @@ struct ShardOutcome {
   std::uint64_t leaf_evals = 0;
 };
 
-std::uint64_t saturating_add(std::uint64_t a, std::uint64_t b) {
-  const std::uint64_t s = a + b;
-  return s < a ? std::numeric_limits<std::uint64_t>::max() : s;
-}
-
-std::uint64_t saturating_mul(std::uint64_t a, std::uint64_t b) {
-  if (b != 0 && a > std::numeric_limits<std::uint64_t>::max() / b) {
-    return std::numeric_limits<std::uint64_t>::max();
-  }
-  return a * b;
-}
-
 /// Shared, read-mostly description of the search.
 struct SearchPlan {
   const noc::Topology* topo = nullptr;

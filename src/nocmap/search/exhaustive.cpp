@@ -2,19 +2,28 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 
 namespace nocmap::search {
+
+std::uint64_t saturating_add(std::uint64_t a, std::uint64_t b) {
+  const std::uint64_t s = a + b;
+  return s < a ? std::numeric_limits<std::uint64_t>::max() : s;
+}
+
+std::uint64_t saturating_mul(std::uint64_t a, std::uint64_t b) {
+  if (b != 0 && a > std::numeric_limits<std::uint64_t>::max() / b) {
+    return std::numeric_limits<std::uint64_t>::max();
+  }
+  return a * b;
+}
 
 std::uint64_t placement_count(std::uint32_t num_tiles,
                               std::uint32_t num_cores) {
   std::uint64_t count = 1;
   for (std::uint32_t i = 0; i < num_cores; ++i) {
-    const std::uint64_t factor = num_tiles - i;
-    if (count > std::numeric_limits<std::uint64_t>::max() / factor) {
-      return std::numeric_limits<std::uint64_t>::max();
-    }
-    count *= factor;
+    count = saturating_mul(count, num_tiles - i);
   }
   return count;
 }
@@ -46,8 +55,22 @@ SearchResult exhaustive_search(const mapping::CostFunction& cost,
   }
   cost.begin_search();
 
-  const std::vector<noc::TileId> first_tiles =
-      symmetry_first_tiles(topo, options.use_symmetry);
+  // The first-tile collapse is exact only for objectives invariant under
+  // the topology's symmetry group (the rule branch_and_bound follows too).
+  const std::vector<noc::TileId> first_tiles = symmetry_first_tiles(
+      topo, options.use_symmetry && cost.symmetry_invariant());
+  const std::unique_ptr<mapping::CostFunction::LowerBound> lb =
+      cost.has_lower_bound() ? cost.make_lower_bound() : nullptr;
+
+  // What a node with d cores placed stands for: leaves[d] complete
+  // placements and nodes[d] tree nodes (itself included). Saturating.
+  std::vector<std::uint64_t> leaves(num_cores + 1, 1);
+  std::vector<std::uint64_t> nodes(num_cores + 1, 1);
+  for (std::size_t d = num_cores; d-- > 0;) {
+    const std::uint64_t fanout = num_tiles - d;
+    leaves[d] = saturating_mul(fanout, leaves[d + 1]);
+    nodes[d] = saturating_add(1, saturating_mul(fanout, nodes[d + 1]));
+  }
 
   SearchResult result{mapping::Mapping(topo, num_cores),
                       std::numeric_limits<double>::infinity(), 0.0, 0, true};
@@ -55,18 +78,23 @@ SearchResult exhaustive_search(const mapping::CostFunction& cost,
 
   std::vector<noc::TileId> assignment(num_cores);
   std::vector<bool> used(num_tiles, false);
+  mapping::Mapping leaf(topo, num_cores);  // Reused via set_assignment.
 
-  // Depth-first enumeration of injective placements.
+  const auto budget_hit = [&] {
+    return options.max_evaluations != 0 &&
+           result.evaluations >= options.max_evaluations;
+  };
+
+  // Depth-first enumeration of injective placements. `core` cores are
+  // placed; returns false once the budget stops the search.
   auto recurse = [&](auto&& self, std::size_t core) -> bool {
-    if (options.max_evaluations != 0 &&
-        result.evaluations >= options.max_evaluations) {
+    if (budget_hit()) {
       result.exhausted = false;
       return false;  // Budget exceeded: stop everywhere.
     }
     if (core == num_cores) {
-      const mapping::Mapping m =
-          mapping::Mapping::from_assignment(topo, assignment);
-      const double c = cost.cost(m);
+      leaf.set_assignment(assignment);
+      const double c = cost.cost(leaf);
       ++result.evaluations;
       if (first_eval) {
         result.initial_cost = c;
@@ -74,28 +102,55 @@ SearchResult exhaustive_search(const mapping::CostFunction& cost,
       }
       if (c < result.best_cost) {
         result.best_cost = c;
-        result.best = m;
+        result.best = leaf;
       }
       return true;
     }
+    const auto visit = [&](noc::TileId t) -> bool {
+      assignment[core] = t;
+      used[t] = true;
+      bool keep_going = true;
+      if (lb) lb->place(static_cast<graph::CoreId>(core), t);
+      // No leaf under this node can beat the incumbent strictly once its
+      // admissible bound reaches it: skip the subtree, but count its
+      // placements as covered so `evaluations` and the budget cut land
+      // exactly where the unpruned enumeration's would.
+      bool prune = false;
+      if (lb && result.best_cost < std::numeric_limits<double>::infinity() &&
+          !budget_hit()) {
+        ++result.nodes_tested;
+        prune = lb->bound(result.best_cost) >= result.best_cost;
+      }
+      if (prune) {
+        result.nodes_pruned =
+            saturating_add(result.nodes_pruned, nodes[core + 1]);
+        const std::uint64_t covered = leaves[core + 1];
+        if (options.max_evaluations != 0 &&
+            covered > options.max_evaluations - result.evaluations) {
+          result.evaluations = options.max_evaluations;
+          result.exhausted = false;
+          keep_going = false;
+        } else {
+          result.evaluations = saturating_add(result.evaluations, covered);
+        }
+      } else {
+        ++result.nodes_visited;
+        keep_going = self(self, core + 1);
+      }
+      if (lb) lb->unplace(static_cast<graph::CoreId>(core), t);
+      used[t] = false;
+      return keep_going;
+    };
     if (core == 0) {
       // Core 0 is restricted to symmetry-orbit representatives.
       for (noc::TileId t : first_tiles) {
-        assignment[0] = t;
-        used[t] = true;
-        const bool keep_going = self(self, 1);
-        used[t] = false;
-        if (!keep_going) return false;
+        if (!visit(t)) return false;
       }
       return true;
     }
     for (noc::TileId t = 0; t < num_tiles; ++t) {
       if (used[t]) continue;
-      assignment[core] = t;
-      used[t] = true;
-      const bool keep_going = self(self, core + 1);
-      used[t] = false;
-      if (!keep_going) return false;
+      if (!visit(t)) return false;
     }
     return true;
   };

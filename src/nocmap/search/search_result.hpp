@@ -16,12 +16,15 @@ struct SearchResult {
   std::uint64_t evaluations = 0;  ///< Objective queries: full cost() calls
                                   ///< plus incremental swap_delta() pricings
                                   ///< (engines using the delta protocol do
-                                  ///< much less work per query).
+                                  ///< much less work per query). Exhaustive
+                                  ///< search: placements covered, priced or
+                                  ///< bound-pruned.
   bool exhausted = false;         ///< Exhaustive search: searched everything
                                   ///< (false when the evaluation budget was
                                   ///< hit first).
 
-  // --- Branch-and-bound counters (zero for every other engine) -------------
+  // --- Tree-search counters: branch and bound and exhaustive search (zero
+  // --- for every other engine; ES leaves node_budget at zero) --------------
   // A "node" is one partial placement of the enumeration tree.
   // nodes_visited counts nodes actually expanded (their lower-bound test
   // passed; at full depth the mapping was priced). nodes_pruned counts the

@@ -142,9 +142,10 @@ Options:
   --routing NAME    Routing algorithm: xy | yx | west-first | odd-even
                     (default: xy).
   --seed N          RNG seed driving the SA runs (default: 1).
-  --threads N       Worker threads for the SA chains and for the batched
-                    CDCM exhaustive search (default: 1). Purely a
-                    throughput knob: results are identical for any N.
+  --threads N       Worker threads for the SA chains, branch-and-bound
+                    subtrees and portfolio members (default: 1); exhaustive
+                    search runs on one thread. Purely a throughput knob:
+                    results are identical for any N.
   --chains N        Independent SA chains per model, best-of-N (default: 1).
   --cost NAME       Timing-aware objective: cdcm (default, Equation 10) or
                     hybrid (CWM-delta prefilter proposes, CDCM verifies at

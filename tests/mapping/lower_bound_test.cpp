@@ -15,11 +15,6 @@
 namespace nocmap::mapping {
 namespace {
 
-/// Relative tolerance for "bound <= cost": the CDCM bound prices aggregated
-/// CWG edges while the simulator sums per packet, which can differ by a few
-/// ulp. Admissibility claims below are exact up to this rounding.
-constexpr double kRelTol = 1e-12;
-
 graph::Cdcg random_workload(std::uint32_t cores, util::Rng& rng) {
   workload::RandomCdcgParams params;
   params.num_cores = cores;
@@ -82,7 +77,7 @@ std::vector<noc::TileId> random_completion(const PartialPlacement& p,
 /// The satellite property: over random partial placements on every
 /// topology kind, bound(prefix) <= cost(any completion); and on complete
 /// placements the CWM bound equals the exact cost bitwise while the CDCM
-/// bound stays below the simulated cost.
+/// bound stays below the simulated cost — all with no rounding tolerance.
 TEST(LowerBoundPropertyTest, AdmissibleOnRandomPartialsAcrossTopologies) {
   const energy::Technology tech = energy::technology_0_07u();
   util::Rng rng(0xB0CD);
@@ -121,8 +116,8 @@ TEST(LowerBoundPropertyTest, AdmissibleOnRandomPartialsAcrossTopologies) {
         const Mapping m = Mapping::from_assignment(*topo, assignment);
         const double cwm_cost = cwm.cost(m);
         const double cdcm_cost = cdcm.cost(m);
-        EXPECT_LE(cwm_bound, cwm_cost * (1.0 + kRelTol));
-        EXPECT_LE(cdcm_bound, cdcm_cost * (1.0 + kRelTol));
+        EXPECT_LE(cwm_bound, cwm_cost);
+        EXPECT_LE(cdcm_bound, cdcm_cost);
       }
       // Push the rest of the cores: on the now-complete placement the CWM
       // bound is the exact cost, bitwise.
@@ -134,11 +129,10 @@ TEST(LowerBoundPropertyTest, AdmissibleOnRandomPartialsAcrossTopologies) {
       }
       const Mapping m = Mapping::from_assignment(*topo, assignment);
       EXPECT_EQ(cwm_lb->bound(), cwm.cost(m));
-      EXPECT_LE(cdcm_lb->bound(), cdcm.cost(m) * (1.0 + kRelTol));
+      EXPECT_LE(cdcm_lb->bound(), cdcm.cost(m));
       // Unwind the whole placement through unplace(): the evaluator must
-      // return to the empty-prefix bound (push/pop consistency, up to the
-      // ulp-level residue of adding and subtracting in different orders —
-      // the drift the search engine's pruning slack absorbs).
+      // return to the empty-prefix bound exactly (bound() prices the
+      // placement fresh, so nothing drifts).
       const double empty_before = [&] {
         cwm_lb->reset();
         return cwm_lb->bound();
@@ -150,7 +144,7 @@ TEST(LowerBoundPropertyTest, AdmissibleOnRandomPartialsAcrossTopologies) {
       for (std::size_t i = p.cores.size(); i-- > 0;) {
         cwm_lb->unplace(p.cores[i], p.tiles[i]);
       }
-      EXPECT_NEAR(cwm_lb->bound(), empty_before, empty_before * kRelTol);
+      EXPECT_EQ(cwm_lb->bound(), empty_before);
     }
   }
 }
@@ -202,7 +196,7 @@ TEST(LowerBoundTest, HybridDelegatesToCdcm) {
   lb->place(3, 3);
   const Mapping m = Mapping::from_assignment(*topo, {0, 1, 2, 3});
   // Hybrid cost() is the exact CDCM objective; its bound must sit below it.
-  EXPECT_LE(lb->bound(), hybrid.cost(m) * (1.0 + kRelTol));
+  EXPECT_LE(lb->bound(), hybrid.cost(m));
 }
 
 TEST(LowerBoundTest, DefaultCostFunctionThrows) {

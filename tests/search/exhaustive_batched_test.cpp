@@ -45,6 +45,10 @@ TEST_P(BatchedEsTest, MatchesSerialCdcmSearch) {
 
   const SearchResult serial = exhaustive_search(cost, *topo);
 
+  // CDCM is not symmetry-invariant, so the serial engine searches every
+  // placement; the batched engine collapses only when told to.
+  EsOptions unrestricted;
+  unrestricted.use_symmetry = false;
   sim::SimOptions sim_options;
   sim_options.record_traces = false;
   for (const std::uint32_t threads : {1u, 4u}) {
@@ -56,10 +60,31 @@ TEST_P(BatchedEsTest, MatchesSerialCdcmSearch) {
               double* costs) {
             evaluator.evaluate_costs(mappings, count, costs);
           },
-          {}, shard);
+          unrestricted, shard);
       expect_same(batched, serial);
     }
   }
+}
+
+TEST_P(BatchedEsTest, MatchesSerialCwmSearchUnderSymmetry) {
+  const std::unique_ptr<noc::Topology> topo =
+      noc::make_topology(GetParam(), 3, 3, {});
+  const graph::Cdcg cdcg = random_cdcg(5, 8);
+  const graph::Cwg cwg = cdcg.to_cwg();
+  const mapping::CwmCost cost(cwg, *topo, energy::technology_0_07u());
+
+  // CWM is invariant, so both engines collapse the first tile.
+  const SearchResult serial = exhaustive_search(cost, *topo);
+  const SearchResult batched = exhaustive_search_batched(
+      cost.num_cores(), *topo,
+      [&](const mapping::Mapping* mappings, std::size_t count,
+          double* costs) {
+        for (std::size_t i = 0; i < count; ++i) {
+          costs[i] = cost.cost(mappings[i]);
+        }
+      },
+      {}, 64);
+  expect_same(batched, serial);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTopologies, BatchedEsTest,

@@ -40,9 +40,11 @@ TEST(ExhaustiveTest, FindsGlobalOptimumOnPaperExample) {
   EXPECT_TRUE(result.best.is_valid());
 }
 
+// Symmetry pruning is exact only for a symmetry-invariant objective: CWM.
 TEST(ExhaustiveTest, SymmetryPruningPreservesTheOptimum) {
   Fixture f;
-  const mapping::CdcmCost cost(f.cdcg, f.mesh, f.tech);
+  const graph::Cwg cwg = f.cdcg.to_cwg();
+  const mapping::CwmCost cost(cwg, f.mesh, f.tech);
   EsOptions full;
   full.use_symmetry = false;
   EsOptions pruned;
@@ -59,7 +61,8 @@ TEST(ExhaustiveTest, SymmetryPruningPreservesTheOptimum) {
 TEST(ExhaustiveTest, SymmetryPruningOnRectangularMesh) {
   Fixture f;
   const noc::Mesh mesh(4, 2);
-  const mapping::CdcmCost cost(f.cdcg, mesh, f.tech);
+  const graph::Cwg cwg = f.cdcg.to_cwg();
+  const mapping::CwmCost cost(cwg, mesh, f.tech);
   EsOptions full;
   full.use_symmetry = false;
   const SearchResult a = exhaustive_search(cost, mesh, full);
@@ -68,6 +71,16 @@ TEST(ExhaustiveTest, SymmetryPruningOnRectangularMesh) {
   // 8P4 = 1680 placements; group of 4 -> core 0 restricted to 2 of 8 tiles.
   EXPECT_EQ(a.evaluations, 1680u);
   EXPECT_EQ(b.evaluations, 420u);
+}
+
+// CDCM is not symmetry-invariant (a reflection maps XY routes onto YX
+// routes), so use_symmetry leaves its search space whole.
+TEST(ExhaustiveTest, SymmetryPruningSkipsNonInvariantObjectives) {
+  Fixture f;
+  const mapping::CdcmCost cost(f.cdcg, f.mesh, f.tech);
+  EsOptions pruned;
+  pruned.use_symmetry = true;
+  EXPECT_EQ(exhaustive_search(cost, f.mesh, pruned).evaluations, 24u);
 }
 
 TEST(ExhaustiveTest, BudgetCapsEvaluationsAndFlagsNonExhausted) {
