@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -132,7 +133,7 @@ PipelineWorkload make_pipeline_workload(std::uint32_t tiles) {
 
 std::string EvalBenchReport::to_json() const {
   std::ostringstream os;
-  os << "{\n  \"bench\": \"eval_engine\",\n  \"schema\": 5,\n"
+  os << "{\n  \"bench\": \"eval_engine\",\n  \"schema\": 6,\n"
      << "  \"unit\": \"evaluations_per_second\",\n"
      << "  \"host_threads\": " << host_threads << ",\n"
      << "  \"rows\": [\n";
@@ -186,8 +187,14 @@ std::string EvalBenchReport::to_json() const {
        << "     \"bnb_evals_per_second\": ";
     append_json_number(os, r.bnb_evals_per_s);
     os << ", \"bnb_nodes_visited\": " << r.bnb_nodes_visited
-       << ", \"bnb_nodes_pruned\": " << r.bnb_nodes_pruned
-       << ", \"bnb_nodes_tested\": " << r.bnb_nodes_tested
+       << ", \"bnb_nodes_pruned\": ";
+    // A saturated counter is a lower bound, not a count: report no value.
+    if (r.bnb_nodes_pruned == std::numeric_limits<std::uint64_t>::max()) {
+      os << "null";
+    } else {
+      os << r.bnb_nodes_pruned;
+    }
+    os << ", \"bnb_nodes_tested\": " << r.bnb_nodes_tested
        << ",\n     \"bnb_node_budget\": " << r.bnb_node_budget
        << ", \"bnb_pruned_frac\": " << r.bnb_pruned_frac()
        << ", \"bnb_complete\": " << (r.bnb_complete ? "true" : "false")
@@ -195,7 +202,12 @@ std::string EvalBenchReport::to_json() const {
     {
       std::ostringstream precise;
       precise.precision(17);
-      precise << r.bnb_best_j << ", \"es_best\": " << r.es_best_j;
+      precise << r.bnb_best_j << ", \"es_best\": ";
+      if (r.es_best_j) {
+        precise << *r.es_best_j;
+      } else {
+        precise << "null";
+      }
       os << precise.str();
     }
     os << "}" << (i + 1 < rows.size() ? "," : "") << "\n";

@@ -20,6 +20,7 @@
 /// documented in docs/bench-format.md.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -107,15 +108,16 @@ struct EvalBenchRow {
   // --- Branch-and-bound exact CWM search (one run, not a rate loop) --------
   double bnb_evals_per_s = 0.0;        ///< Lower-bound tests per second.
   std::uint64_t bnb_nodes_visited = 0;
-  std::uint64_t bnb_nodes_pruned = 0;  ///< Eliminated subtree volume.
+  /// Eliminated subtree volume; saturates at 2^64-1 (reported as null).
+  std::uint64_t bnb_nodes_pruned = 0;
   std::uint64_t bnb_nodes_tested = 0;
   std::uint64_t bnb_node_budget = 0;
   bool bnb_complete = false;           ///< Tree exhausted within the budget.
   double bnb_best_j = 0.0;             ///< Best CWM cost found.
-  /// Serial exhaustive optimum for the same objective; -1 when the space
-  /// was too large to enumerate. When present and bnb_complete, it must
-  /// equal bnb_best_j bitwise (CI enforces it).
-  double es_best_j = -1.0;
+  /// Serial exhaustive optimum for the same objective; empty when the
+  /// space was too large to enumerate. When present and bnb_complete, it
+  /// must equal bnb_best_j bitwise (CI enforces it).
+  std::optional<double> es_best_j;
 
   double cwm_delta_speedup() const {
     return cwm_legacy_per_s > 0 ? cwm_delta_per_s / cwm_legacy_per_s : 0.0;
@@ -142,7 +144,7 @@ struct EvalBenchRow {
                                     : 0.0;
   }
   /// Fidelity tax: link-claim rate over flit-backend rate (>= 1 in
-  /// practice — the flit loop does strictly more bookkeeping per event).
+  /// practice — the flit policy does strictly more bookkeeping per event).
   double flit_tax() const {
     return cdcm_flit_per_s > 0 ? cdcm_reuse_per_s / cdcm_flit_per_s : 0.0;
   }
@@ -161,7 +163,7 @@ struct EvalBenchReport {
   /// reports ~1.0).
   std::uint32_t host_threads = 0;
 
-  /// Pretty-printed JSON document ({"bench": "eval_engine", "schema": 5,
+  /// Pretty-printed JSON document ({"bench": "eval_engine", "schema": 6,
   /// "rows": [...]}).
   std::string to_json() const;
 };

@@ -20,16 +20,9 @@ Simulator::Simulator(const graph::Cdcg& cdcg, const noc::Topology& topo,
   tech_.validate();
   cdcg_.validate(/*require_connected=*/false);
 
-  if (options_.backend == SimBackend::kFlit) {
-    if (options_.buffer_depth == 0) {
-      throw std::invalid_argument(
-          "simulate: the flit backend needs buffer_depth >= 1");
-    }
-    if (options_.buffer_flits != 0) {
-      throw std::invalid_argument(
-          "simulate: buffer_flits is a link-claim option; the flit backend "
-          "models finite buffers exactly via buffer_depth");
-    }
+  if (options_.backend == SimBackend::kFlit && options_.buffer_depth == 0) {
+    throw std::invalid_argument(
+        "simulate: the flit backend needs buffer_depth >= 1");
   }
 
   const std::size_t num_packets = cdcg_.num_packets();
@@ -47,9 +40,6 @@ Simulator::Simulator(const graph::Cdcg& cdcg, const noc::Topology& topo,
         static_cast<std::uint32_t>(cdcg_.predecessors(p).size()));
     HotPacket& hp = hot_[p];
     hp.n_tl = flits * tl_;
-    hp.overflows_buffer =
-        options_.buffer_flits != 0 &&
-        flits > static_cast<double>(options_.buffer_flits);
     const std::vector<graph::PacketId>& succ = cdcg_.successors(p);
     hp.succ_begin = static_cast<std::uint32_t>(succ_list_.size());
     succ_list_.insert(succ_list_.end(), succ.begin(), succ.end());
@@ -148,14 +138,12 @@ Simulator::Simulator(const graph::Cdcg& cdcg, const noc::Topology& topo,
 
   // --- Checkpointed incremental evaluation ---------------------------------
   // Eligibility is exact, not assumed: the restore argument needs strictly
-  // sorted pops (tr > 0 and tl > 0 make every pushed key strictly future)
-  // and injection writes that nothing observes (contend_local_in off); the
-  // flit backend's port-state arenas are not snapshotted. Ineligible
+  // sorted pops (tr > 0 and tl > 0 make every pushed key strictly future);
+  // the flit backend's port-state arenas are not snapshotted. Ineligible
   // bindings silently run in full, so results never depend on this flag.
   ckpt_active_ = options_.checkpoints &&
-                 options_.backend == SimBackend::kLinkClaim &&
-                 !options_.contend_local_in && tr_ > 0.0 && tl_ > 0.0 &&
-                 num_packets > 0;
+                 options_.backend == SimBackend::kLinkClaim && tr_ > 0.0 &&
+                 tl_ > 0.0 && num_packets > 0;
   if (ckpt_active_) {
     // Auto cadence: about 16 snapshots over the ~6 pops a packet's route
     // contributes on the shipped meshes, floored so tiny graphs do not
@@ -171,16 +159,24 @@ Simulator::Simulator(const graph::Cdcg& cdcg, const noc::Topology& topo,
 
   // --- Flit-backend arenas --------------------------------------------------
   if (options_.backend == SimBackend::kFlit) {
+    double max_flits = 0.0;
     for (graph::PacketId p = 0; p < num_packets; ++p) {
-      max_flits_ = std::max(max_flits_, flits_[p]);
+      max_flits = std::max(max_flits, flits_[p]);
     }
     if (options_.switching == Switching::kVirtualCutThrough &&
-        static_cast<double>(options_.buffer_depth) < max_flits_) {
+        static_cast<double>(options_.buffer_depth) < max_flits) {
       throw std::invalid_argument(
           "simulate: virtual cut-through stores whole packets, so "
           "buffer_depth must be >= the largest packet's flit count (" +
-          std::to_string(static_cast<std::uint64_t>(max_flits_)) + ")");
+          std::to_string(static_cast<std::uint64_t>(max_flits)) + ")");
     }
+    flit_.onoff = options_.flow_control == FlowControl::kOnOff;
+    flit_.vct = options_.switching == Switching::kVirtualCutThrough;
+    flit_.depth = static_cast<double>(options_.buffer_depth);
+    // Body slots one input buffer offers a *stalled* worm. On/off raises the
+    // stop signal one slot early to cover the flit in flight.
+    flit_.stage_slots =
+        flit_.onoff && flit_.depth > 1.0 ? flit_.depth - 1.0 : flit_.depth;
     // Longest possible route (in inter-router links) over every tile pair:
     // the header-out history rows must fit any mapping.
     std::uint32_t flit_links = 1;
@@ -267,64 +263,93 @@ void Simulator::sync_bind(const mapping::Mapping& mapping) {
   }
 }
 
-void Simulator::record_router(graph::PacketId p, std::uint32_t hop,
-                              double arrival, double header_out,
-                              SimulationResult& out) {
+void Simulator::record_hop(graph::PacketId p, std::uint32_t hop,
+                           noc::ResourceId exit, double arrival,
+                           double header_out, SimulationResult& out) {
   // Router occupancy: header arrival until the tail flit is forwarded.
-  const double n_minus_1_tl = (flits_[p] - 1.0) * tl_;
-  const noc::TileId here = route_routers_[p][hop];
-  const noc::ResourceId router = topo_.router_resource(here);
-  HopRecord rec{router, arrival, header_out + n_minus_1_tl};
+  // Exit occupancy: header-out until the tail has crossed it.
+  const noc::ResourceId router = topo_.router_resource(route_routers_[p][hop]);
+  const double tail_out = header_out + (flits_[p] - 1.0) * tl_;
+  const double exit_end = header_out + hot_[p].n_tl;
+  const bool contended = contended_down_[p] != 0;
   auto& hops = out.packets[p].hops;
-  hops.insert(hops.end() - 1, rec);
-  out.occupancy[router].push_back(Occupancy{
-      p, rec.start_ns, rec.end_ns, contended_down_[p] != 0});
+  hops.push_back(HopRecord{router, arrival, tail_out});
+  hops.push_back(HopRecord{exit, header_out, exit_end});
+  out.occupancy[router].push_back(Occupancy{p, arrival, tail_out, contended});
+  out.occupancy[exit].push_back(
+      Occupancy{p, header_out, exit_end, contended});
 }
 
-template <bool Full>
+template <bool Full, bool Bucket>
 void Simulator::inject(graph::PacketId p, SimulationResult& out) {
-  double start = ready_[p] + comp_ns_[p];
-  const noc::ResourceId local_in = src_local_in_[p];
-  bool contended = false;
-  if (options_.contend_local_in && start < link_free_[local_in]) {
-    contention_[p] += link_free_[local_in] - start;
-    start = link_free_[local_in];
-    contended = true;
-  }
-  const double n_tl = hot_[p].n_tl;
-  link_free_[local_in] = start + n_tl;
+  const double start = ready_[p] + comp_ns_[p];
   if constexpr (Full) {
     PacketTrace& trace = out.packets[p];
     trace.packet = p;
     trace.ready_ns = ready_[p];
     trace.inject_ns = start;
     if (options_.record_traces) {
-      trace.hops.push_back(HopRecord{local_in, start, start + n_tl});
-      out.occupancy[local_in].push_back(
-          Occupancy{p, start, start + n_tl, contended});
+      const noc::ResourceId local_in = src_local_in_[p];
+      const double end = start + hot_[p].n_tl;
+      trace.hops.push_back(HopRecord{local_in, start, end});
+      out.occupancy[local_in].push_back(Occupancy{p, start, end, false});
     }
   }
-  if (ckpt_recording_) {
-    ev_time_[p] = start + tl_;
-    ev_hop_[p] = 0;
-    ev_state_[p] = 1;
+  if constexpr (Bucket) {
+    bucket_.push(static_cast<std::size_t>(start + tl_), p, 0);
+  } else {
+    if (ckpt_recording_) {
+      ev_time_[p] = start + tl_;
+      ev_hop_[p] = 0;
+      ev_state_[p] = 1;
+    }
+    queue_.push(detail::QueuedEvent::make(start + tl_, p, 0));
   }
-  queue_.push(detail::QueuedEvent::make(start + tl_, p, 0));
 }
 
-void Simulator::inject_bucket(graph::PacketId p) {
-  double start = ready_[p] + comp_ns_[p];
-  if (options_.contend_local_in) {
-    const noc::ResourceId local_in = src_local_in_[p];
-    if (start < link_free_[local_in]) {
-      contention_[p] += link_free_[local_in] - start;
-      start = link_free_[local_in];
-    }
-    link_free_[local_in] = start + hot_[p].n_tl;
+template <bool Full, bool Bucket>
+inline void Simulator::deliver(graph::PacketId p, double delivered,
+                               std::size_t& delivered_count, double& texec,
+                               SimulationResult& out) {
+  ++delivered_count;
+  texec = std::max(texec, delivered);
+  if (contention_[p] > 0) ++out.num_contended_packets;
+  if constexpr (Full) {
+    PacketTrace& trace = out.packets[p];
+    trace.delivered_ns = delivered;
+    trace.contention_ns = contention_[p];
   }
-  // With contend_local_in off nothing ever reads the local-link occupancy,
-  // so the scalar path skips writing it.
-  bucket_.push(static_cast<std::size_t>(start + tl_), p, 0);
+  const std::uint32_t succ_end = hot_[p].succ_end;
+  for (std::uint32_t i = hot_[p].succ_begin; i < succ_end; ++i) {
+    const graph::PacketId succ = succ_list_[i];
+    ready_[succ] = std::max(ready_[succ], delivered);
+    if (--pending_[succ] == 0) inject<Full, Bucket>(succ, out);
+  }
+}
+
+inline void Simulator::drain_port(graph::PacketId p, std::uint32_t hop,
+                                  double header_out, SimulationResult& out) {
+  // Flits enter the input port at the far end of links[hop-1] from the
+  // previous hop's header-out and leave from this one's, one per tl each
+  // way.
+  const noc::ResourceId inport = hot_[p].links[hop - 1];
+  const double hout_prev = hout_arena_[p * flit_stride_ + hop - 1];
+  const double occ = std::min(
+      flits_[p], std::min((header_out - hout_prev) / tl_, flit_.depth));
+  if (occ > out.flit_max_occupancy) out.flit_max_occupancy = occ;
+  // The whole buffer is clear of this worm once its tail has been
+  // forwarded (VCT admission reads this).
+  port_clear_[inport] =
+      std::max(port_clear_[inport], header_out + hot_[p].n_tl);
+  // A following head finds a free slot once at most stage_slots - 1 of this
+  // worm's flits can still be queued here. Worms shorter than the buffer can
+  // never fill it: no update, the gate stays at its prior value (0.0 when no
+  // worm ever filled this port).
+  const double excess = flits_[p] - (flit_.stage_slots - 1.0);
+  if (excess > 0.0) {
+    port_slot_free_[inport] =
+        std::max(port_slot_free_[inport], header_out + excess * tl_);
+  }
 }
 
 const SimulationResult& Simulator::run(const mapping::Mapping& mapping) {
@@ -369,23 +394,16 @@ void Simulator::run_impl(const mapping::Mapping& mapping,
   }
   out.energy.dynamic_j = dynamic_j;
 
-  if (options_.backend == SimBackend::kFlit) {
-    ckpt_valid_ = false;
-    reset_arena<Full>();
-    std::fill(port_slot_free_.begin(), port_slot_free_.end(), 0.0);
-    std::fill(port_clear_.begin(), port_clear_.end(), 0.0);
-    for (graph::PacketId p = 0; p < num_packets; ++p) {
-      if (pending_[p] == 0) inject<Full>(p, out);
-    }
-    run_flit_loop<Full>(out);
-  } else if (!Full && ckpt_active_) {
+  // Checkpointing and the bucket calendar are link-claim only (both are
+  // off under the flit backend; see the constructor).
+  if (!Full && ckpt_active_) {
     run_ckpt(out);
   } else if (!Full && bucket_mode_) {
     ckpt_valid_ = false;
     reset_arena<Full>();
     bucket_.begin_run();
     for (graph::PacketId p = 0; p < num_packets; ++p) {
-      if (pending_[p] == 0) inject_bucket(p);
+      if (pending_[p] == 0) inject<false, true>(p, out);
     }
     run_bucket_loop(out);
     bucket_.finish_run();
@@ -395,9 +413,13 @@ void Simulator::run_impl(const mapping::Mapping& mapping,
     ckpt_valid_ = false;
     reset_arena<Full>();
     for (graph::PacketId p = 0; p < num_packets; ++p) {
-      if (pending_[p] == 0) inject<Full>(p, out);
+      if (pending_[p] == 0) inject<Full, false>(p, out);
     }
-    run_heap_loop<Full>(out);
+    if (options_.backend == SimBackend::kFlit) {
+      run_flit<Full>(out);
+    } else {
+      run_heap_loop<Full>(out);
+    }
   }
 
   if constexpr (Full) {
@@ -416,6 +438,13 @@ void Simulator::run_impl(const mapping::Mapping& mapping,
 
   out.energy.static_j =
       energy::static_noc_energy(tech_, topo_.num_tiles(), out.texec_ns);
+}
+
+template <bool Full>
+void Simulator::run_flit(SimulationResult& out) {
+  std::fill(port_slot_free_.begin(), port_slot_free_.end(), 0.0);
+  std::fill(port_clear_.begin(), port_clear_.end(), 0.0);
+  run_heap_loop<Full, false, true>(out);
 }
 
 template <bool Full>
@@ -465,9 +494,9 @@ void Simulator::record_ckpt(std::uint64_t pops, std::size_t delivered,
 ///  * The first pop whose processing can differ between the old and new
 ///    bindings is the earliest first-event key K* over the rebound (dirty)
 ///    packets: earlier pops touch no dirty packet and read no state a
-///    dirty packet wrote (injection's local-link write is unobservable with
-///    contend_local_in off), so any snapshot whose next pop key is <= K*
-///    restores a state the new run shares bitwise.
+///    dirty packet wrote (injection writes no shared state), so any
+///    snapshot whose next pop key is <= K* restores a state the new run
+///    shares bitwise.
 void Simulator::run_ckpt(SimulationResult& out) {
   const std::size_t num_packets = cdcg_.num_packets();
   ++ckpt_stats_.runs;
@@ -512,7 +541,7 @@ void Simulator::run_ckpt(SimulationResult& out) {
     std::fill(ev_state_.begin(), ev_state_.end(), std::uint8_t{0});
     ckpt_count_ = 0;
     for (graph::PacketId p = 0; p < num_packets; ++p) {
-      if (pending_[p] == 0) inject<false>(p, out);
+      if (pending_[p] == 0) inject<false, false>(p, out);
     }
     record_ckpt(0, 0, 0.0, out);
     run_heap_loop<false, true>(out, 0, 0.0, 0);
@@ -576,15 +605,8 @@ void Simulator::run_ckpt(SimulationResult& out) {
           // A pending ejection: apply it at seed time. Ejections touch no
           // links and every effect commutes (max-merges and counters) —
           // exactly the reordering the fused bucket loop performs anyway.
-          const double delivered = ev_time_[p] + tr_ + hp.n_tl;
-          ++delivered_count;
-          texec = std::max(texec, delivered);
-          if (contention_[p] > 0) ++out.num_contended_packets;
-          for (std::uint32_t i = hp.succ_begin; i < hp.succ_end; ++i) {
-            const graph::PacketId succ = succ_list_[i];
-            ready_[succ] = std::max(ready_[succ], delivered);
-            if (--pending_[succ] == 0) inject_bucket(succ);
-          }
+          deliver<false, true>(p, ev_time_[p] + tr_ + hp.n_tl,
+                               delivered_count, texec, out);
         } else {
           bucket_.push(static_cast<std::size_t>(ev_time_[p]), p, ev_hop_[p]);
         }
@@ -613,17 +635,33 @@ void Simulator::run_ckpt(SimulationResult& out) {
   ckpt_valid_ = true;
 }
 
-/// The general loop. Keys are unique ((time, packet, hop) — a packet has
-/// one in-flight event), so the pop order is a total order regardless of
-/// push order or heap internals. Contention accounting is branchless: the
-/// uncontended case adds an exact +0.0, which leaves every accumulator
-/// byte-identical.
-template <bool Full, bool Ckpt>
+/// The one general loop, for both backends. Keys are unique ((time,
+/// packet, hop) — a packet has one in-flight event), so the pop order is a
+/// total order regardless of push order or heap internals. Contention
+/// accounting is branchless: the uncontended case adds an exact +0.0, which
+/// leaves every accumulator byte-identical.
+///
+/// The flit backend is a policy of this loop (Flit = true), not a second
+/// loop. Its three `if constexpr (Flit)` hooks each contribute an exact
+/// +0.0 when their constraint does not bind, so at a never-binding depth
+/// every accumulator matches the link-claim instantiation bit for bit:
+///  (a) downstream admission — after winning the link, the head also waits
+///      for buffer space at its far end: one slot under wormhole (credit /
+///      on-off), the whole buffer under virtual cut-through;
+///  (b) port drain — the closed-form drain schedule (one flit per tl) of
+///      the input port a worm leaves, read by the next head's admission;
+///  (c) backpressure — a stalled worm's body parks across the input buffers
+///      along its path; whatever a buffer cannot absorb keeps the link
+///      feeding it busy past its nominal tail time.
+template <bool Full, bool Ckpt, bool Flit>
 void Simulator::run_heap_loop(SimulationResult& out, std::size_t delivered0,
                               double texec0, std::uint64_t pops0) {
+  static_assert(!(Flit && Ckpt),
+                "the flit backend's port state is not snapshotted");
   const std::size_t num_packets = cdcg_.num_packets();
   const double tr = tr_;
   const double tl = tl_;
+  const FlitParams flit = flit_;
   std::size_t delivered_count = delivered0;
   double texec = texec0;
   std::uint64_t pops = pops0;
@@ -648,30 +686,61 @@ void Simulator::run_heap_loop(SimulationResult& out, std::size_t delivered0,
     if (hop + 1 != hp.len) {
       const noc::ResourceId link = hp.links[hop];
       const double free_at = link_free_[link];
-      const double wait = arrival < free_at ? free_at - arrival : 0.0;
+      double wait = arrival < free_at ? free_at - arrival : 0.0;
+      if constexpr (Flit) {
+        // (a) Downstream admission. port_slot_free_/port_clear_ stay 0.0
+        // for ports no worm could have filled, so the gate is +0.0 then.
+        const double slot = port_slot_free_[link];
+        const double gate = flit.vct ? port_clear_[link]
+                                     : (flit.onoff && slot > 0.0 ? slot + tl
+                                                                 : slot);
+        const double granted = arrival + wait;
+        const double admit_wait = granted < gate ? gate - granted : 0.0;
+        out.flit_stall_ns += admit_wait;
+        wait += admit_wait;
+      }
       contention_[p] += wait;
       out.total_contention_ns += wait;
-      if (wait > 0.0) {
-        if constexpr (Full) contended_down_[p] = 1;
-        if (hp.overflows_buffer && hop > 0) {
-          // Bounded buffers: the part of the worm that does not fit keeps
-          // the upstream link busy until the worm starts draining
-          // (first-order backpressure model).
-          const noc::ResourceId upstream = hp.links[hop - 1];
-          link_free_[upstream] =
-              std::max(link_free_[upstream], free_at + tr);
-        }
+      if constexpr (Full) {
+        if (wait > 0.0) contended_down_[p] = 1;
       }
       const double header_out = arrival + wait + tr;
       link_free_[link] = header_out + n_tl;
+      if constexpr (Flit) {
+        hout_arena_[p * flit_stride_ + hop] = header_out;
+        if (hop > 0) {
+          drain_port(p, hop, header_out, out);  // (b)
+          // (c) Backpressure cascade. The head stalled `wait`; its body
+          // backs up into the buffers behind it, each stage absorbing what
+          // fits, and any leftover keeps the link feeding that stage busy.
+          // Under VCT the downstream buffer holds the whole worm (depth >=
+          // flits, validated), so upstream links are never held.
+          if (wait > 0.0 && !flit.vct) {
+            const double* hout_row = &hout_arena_[p * flit_stride_];
+            double remaining = wait;
+            double body = flits_[p] - 1.0;  // Flits behind the head.
+            double cap = flit.stage_slots - 1.0;  // The head holds one slot.
+            std::uint32_t k = hop;
+            while (k > 0 && body > 0.0) {
+              const double park = std::min(body, cap > 0.0 ? cap : 0.0);
+              remaining -= park * tl;
+              body -= park;
+              if (remaining <= 0.0 || body <= 0.0) break;
+              const noc::ResourceId up = hp.links[k - 1];
+              const double tail_done = hout_row[k - 1] + n_tl + remaining;
+              if (tail_done > link_free_[up]) {
+                out.flit_backpressure_ns += tail_done - link_free_[up];
+                link_free_[up] = tail_done;
+              }
+              --k;
+              cap = flit.stage_slots;
+            }
+          }
+        }
+      }
       if constexpr (Full) {
         if (options_.record_traces) {
-          out.packets[p].hops.push_back(
-              HopRecord{link, header_out, header_out + n_tl});
-          out.occupancy[link].push_back(Occupancy{
-              p, header_out, header_out + n_tl,
-              contended_down_[p] != 0});
-          record_router(p, hop, arrival, header_out, out);
+          record_hop(p, hop, link, arrival, header_out, out);
         }
       }
       if constexpr (Ckpt) {
@@ -683,34 +752,19 @@ void Simulator::run_heap_loop(SimulationResult& out, std::size_t delivered0,
                                                    hop + 1));
     } else {
       queue_.pop_min();
-      // Ejection to the destination core: never blocks.
+      // Ejection to the destination core: never blocks (the destination NI
+      // always accepts flits). Under the flit policy the final router's
+      // input port still drains at flit rate, so following worms see its
+      // slot-free / all-clear times.
       const double header_out = arrival + tr;
-      const double delivered = header_out + n_tl;
+      if constexpr (Flit) drain_port(p, hop, header_out, out);
       if constexpr (Full) {
         if (options_.record_traces) {
-          const noc::ResourceId local_out = dst_local_out_[p];
-          out.packets[p].hops.push_back(
-              HopRecord{local_out, header_out, header_out + n_tl});
-          out.occupancy[local_out].push_back(Occupancy{
-              p, header_out, header_out + n_tl, contended_down_[p] != 0});
-          record_router(p, hop, arrival, header_out, out);
+          record_hop(p, hop, dst_local_out_[p], arrival, header_out, out);
         }
       }
       if constexpr (Ckpt) ev_state_[p] = 2;
-      ++delivered_count;
-      texec = std::max(texec, delivered);
-      if (contention_[p] > 0) ++out.num_contended_packets;
-      if constexpr (Full) {
-        PacketTrace& trace = out.packets[p];
-        trace.delivered_ns = delivered;
-        trace.contention_ns = contention_[p];
-      }
-      const std::uint32_t succ_end = hp.succ_end;
-      for (std::uint32_t i = hp.succ_begin; i < succ_end; ++i) {
-        const graph::PacketId succ = succ_list_[i];
-        ready_[succ] = std::max(ready_[succ], delivered);
-        if (--pending_[succ] == 0) inject<Full>(succ, out);
-      }
+      deliver<Full, false>(p, header_out + n_tl, delivered_count, texec, out);
     }
     ++pops;
   }
@@ -735,8 +789,7 @@ void Simulator::run_heap_loop(SimulationResult& out, std::size_t delivered0,
 /// the general loop, minus work that cannot be observed in a scalar result:
 /// the final ejection is fused into the last link claim (a delivery only
 /// produces successor updates, and max(arrival, free_at) + tr equals
-/// arrival + wait + tr exactly in integer arithmetic), and injection skips
-/// the local-link bookkeeping nothing reads unless contend_local_in is on.
+/// arrival + wait + tr exactly in integer arithmetic).
 void Simulator::run_bucket_loop(SimulationResult& out,
                                 std::size_t delivered0, double texec0) {
   const std::size_t num_packets = cdcg_.num_packets();
@@ -761,211 +814,20 @@ void Simulator::run_bucket_loop(SimulationResult& out,
     const double wait = arrival < free_at ? free_at - arrival : 0.0;
     contention_[p] += wait;
     out.total_contention_ns += wait;
-    if (wait > 0.0 && hp.overflows_buffer && hop > 0) {
-      // Bounded buffers: the part of the worm that does not fit keeps the
-      // upstream link busy until the worm starts draining (first-order
-      // backpressure model).
-      const noc::ResourceId upstream = links_arena_[p * stride + hop - 1];
-      link_free_[upstream] = std::max(link_free_[upstream], free_at + tr);
-    }
     const double header_out = std::max(arrival, free_at) + tr;
-    const double n_tl = hp.n_tl;
-    link_free_[link] = header_out + n_tl;
+    link_free_[link] = header_out + hp.n_tl;
 
     if (hop + 2 == hp.len) {
       // This was the final link: eject without a further event. The
       // association matches the general loop: ((header_out + tl) + tr)
       // + n_tl.
-      const double delivered = ((header_out + tl) + tr) + n_tl;
-      ++delivered_count;
-      texec = std::max(texec, delivered);
-      if (contention_[p] > 0) ++out.num_contended_packets;
-      const std::uint32_t succ_end = hp.succ_end;
-      for (std::uint32_t i = hp.succ_begin; i < succ_end; ++i) {
-        const graph::PacketId succ = succ_list_[i];
-        ready_[succ] = std::max(ready_[succ], delivered);
-        if (--pending_[succ] == 0) inject_bucket(succ);
-      }
+      deliver<false, true>(p, ((header_out + tl) + tr) + hp.n_tl,
+                           delivered_count, texec, out);
     } else {
       bucket_.push(static_cast<std::size_t>(header_out + tl), p, hop + 1);
     }
   }
   out.texec_ns = texec;
-}
-
-/// The flit backend. Same event skeleton and link-arbitration arithmetic as
-/// run_heap_loop, plus three constraint families, each written so that a
-/// non-binding constraint contributes an exact +0.0 and leaves every
-/// accumulator byte-identical to the link-claim model:
-///
-///  (a) output-link arbitration — unchanged (FIFO by header arrival);
-///  (b) downstream admission — the head additionally waits for buffer space
-///      at the far end of the link it claims: one slot under wormhole
-///      (credits / on-off), the whole buffer under virtual cut-through;
-///  (c) backpressure — a stalled worm's body parks across the input buffers
-///      along its path; whatever a buffer cannot absorb keeps the link
-///      feeding it busy past its nominal tail time.
-///
-/// Port drain schedules are closed-form rather than per-flit events: a worm
-/// streams through a port at one flit per tl, entering from its previous
-/// hop's header-out and leaving from this hop's, so free-slot / all-clear
-/// times follow directly from the two header times and the flit count. That
-/// keeps the event count identical to the link-claim model (one event per
-/// router per packet) while the constraints stay exact within the model.
-template <bool Full>
-void Simulator::run_flit_loop(SimulationResult& out) {
-  const std::size_t num_packets = cdcg_.num_packets();
-  const double tr = tr_;
-  const double tl = tl_;
-  const bool onoff = options_.flow_control == FlowControl::kOnOff;
-  const bool vct = options_.switching == Switching::kVirtualCutThrough;
-  const double depth = static_cast<double>(options_.buffer_depth);
-  // Body slots one input buffer offers a *stalled* worm. On/off raises the
-  // stop signal one slot early to cover the flit in flight.
-  const double stage_slots = onoff && depth > 1.0 ? depth - 1.0 : depth;
-  std::size_t delivered_count = 0;
-  double texec = 0.0;
-  while (!queue_.empty()) {
-    const detail::QueuedEvent ev = queue_.min();
-    const graph::PacketId p = ev.packet();
-    const std::uint32_t hop = ev.hop();
-    const double arrival = ev.time_ns();
-    const HotPacket& hp = hot_[p];
-    const double n_tl = hp.n_tl;
-    const double* hout_row = &hout_arena_[p * flit_stride_];
-
-    if (hop + 1 != hp.len) {
-      const noc::ResourceId link = hp.links[hop];
-      // (a) Output-link arbitration, the link-claim expression verbatim.
-      const double free_at = link_free_[link];
-      const double link_wait = arrival < free_at ? free_at - arrival : 0.0;
-      // (b) Downstream admission. port_slot_free_/port_clear_ stay 0.0 for
-      // ports no worm could have filled, so the gate is +0.0 exactly then.
-      const double slot = port_slot_free_[link];
-      const double gate =
-          vct ? port_clear_[link] : (onoff && slot > 0.0 ? slot + tl : slot);
-      const double granted = arrival + link_wait;
-      const double admit_wait = granted < gate ? gate - granted : 0.0;
-      const double wait = link_wait + admit_wait;
-      contention_[p] += wait;
-      out.total_contention_ns += wait;
-      out.flit_stall_ns += admit_wait;
-      if constexpr (Full) {
-        if (wait > 0.0) contended_down_[p] = 1;
-      }
-      const double header_out = arrival + wait + tr;
-      link_free_[link] = header_out + n_tl;
-      hout_arena_[p * flit_stride_ + hop] = header_out;
-      if (hop > 0) {
-        // Drain bookkeeping for the input port this worm just left (the
-        // far end of links[hop-1]): flits enter from hout_row[hop-1] and
-        // leave from header_out, one per tl each way.
-        const noc::ResourceId inport = hp.links[hop - 1];
-        const double hout_prev = hout_row[hop - 1];
-        const double occ = std::min(
-            flits_[p], std::min((header_out - hout_prev) / tl, depth));
-        if (occ > out.flit_max_occupancy) out.flit_max_occupancy = occ;
-        // The whole buffer is clear of this worm once its tail has been
-        // forwarded (VCT admission reads this).
-        port_clear_[inport] = std::max(port_clear_[inport], header_out + n_tl);
-        // A following head finds a free slot once at most stage_slots - 1
-        // of this worm's flits can still be queued here. Worms shorter
-        // than the buffer can never fill it: no update, the gate stays at
-        // its prior value (0.0 when no worm ever filled this port).
-        const double excess = flits_[p] - (stage_slots - 1.0);
-        if (excess > 0.0) {
-          port_slot_free_[inport] = std::max(port_slot_free_[inport],
-                                             header_out + excess * tl);
-        }
-        // (c) Backpressure cascade. The head stalled `wait`; its body backs
-        // up into the buffers behind it, each stage absorbing what fits,
-        // and any leftover keeps the link feeding that stage busy. Under
-        // VCT the downstream buffer holds the whole worm (depth >= flits,
-        // validated), so upstream links are never held.
-        if (wait > 0.0 && !vct) {
-          double remaining = wait;
-          double body = flits_[p] - 1.0;  // Flits behind the head.
-          double cap = stage_slots - 1.0;  // The head occupies one slot.
-          std::uint32_t k = hop;
-          while (k > 0 && body > 0.0) {
-            const double park = std::min(body, cap > 0.0 ? cap : 0.0);
-            remaining -= park * tl;
-            body -= park;
-            if (remaining <= 0.0 || body <= 0.0) break;
-            const noc::ResourceId up = hp.links[k - 1];
-            const double tail_done = hout_row[k - 1] + n_tl + remaining;
-            if (tail_done > link_free_[up]) {
-              out.flit_backpressure_ns += tail_done - link_free_[up];
-              link_free_[up] = tail_done;
-            }
-            --k;
-            cap = stage_slots;
-          }
-        }
-      }
-      if constexpr (Full) {
-        if (options_.record_traces) {
-          out.packets[p].hops.push_back(
-              HopRecord{link, header_out, header_out + n_tl});
-          out.occupancy[link].push_back(Occupancy{
-              p, header_out, header_out + n_tl, contended_down_[p] != 0});
-          record_router(p, hop, arrival, header_out, out);
-        }
-      }
-      queue_.replace_min(detail::QueuedEvent::make(header_out + tl, p,
-                                                   hop + 1));
-    } else {
-      queue_.pop_min();
-      // Ejection to the destination core: never blocks (link-claim
-      // semantics, kept — the destination NI always accepts flits). The
-      // final router's input port still drains at flit rate, so following
-      // worms see its free-slot / all-clear times.
-      const double header_out = arrival + tr;
-      const double delivered = header_out + n_tl;
-      {
-        const noc::ResourceId inport = hp.links[hop - 1];
-        const double hout_prev = hout_row[hop - 1];
-        const double occ = std::min(
-            flits_[p], std::min((header_out - hout_prev) / tl, depth));
-        if (occ > out.flit_max_occupancy) out.flit_max_occupancy = occ;
-        port_clear_[inport] = std::max(port_clear_[inport], header_out + n_tl);
-        const double excess = flits_[p] - (stage_slots - 1.0);
-        if (excess > 0.0) {
-          port_slot_free_[inport] = std::max(port_slot_free_[inport],
-                                             header_out + excess * tl);
-        }
-      }
-      if constexpr (Full) {
-        if (options_.record_traces) {
-          const noc::ResourceId local_out = dst_local_out_[p];
-          out.packets[p].hops.push_back(
-              HopRecord{local_out, header_out, header_out + n_tl});
-          out.occupancy[local_out].push_back(Occupancy{
-              p, header_out, header_out + n_tl, contended_down_[p] != 0});
-          record_router(p, hop, arrival, header_out, out);
-        }
-      }
-      ++delivered_count;
-      texec = std::max(texec, delivered);
-      if (contention_[p] > 0) ++out.num_contended_packets;
-      if constexpr (Full) {
-        PacketTrace& trace = out.packets[p];
-        trace.delivered_ns = delivered;
-        trace.contention_ns = contention_[p];
-      }
-      const std::uint32_t succ_end = hp.succ_end;
-      for (std::uint32_t i = hp.succ_begin; i < succ_end; ++i) {
-        const graph::PacketId succ = succ_list_[i];
-        ready_[succ] = std::max(ready_[succ], delivered);
-        if (--pending_[succ] == 0) inject<Full>(succ, out);
-      }
-    }
-  }
-  out.texec_ns = texec;
-
-  if (delivered_count != num_packets) {
-    throw std::logic_error("simulate: not all packets were delivered");
-  }
 }
 
 }  // namespace nocmap::sim

@@ -29,8 +29,8 @@
 /// run(mapping) returns a scalars-only result (no per-packet vectors, no
 /// occupancy lists) with zero heap allocations in the steady state.
 /// run_traced(mapping) produces the full SimulationResult of simulate(),
-/// which is a thin wrapper over this class. Both paths share one event loop,
-/// so scalar and traced results always agree.
+/// which is a thin wrapper over this class. Both paths, and both backends,
+/// share one event loop, so scalar and traced results always agree.
 ///
 /// A Simulator instance is NOT thread-safe (it mutates its arena); give each
 /// thread its own instance — sim::BatchEvaluator maintains such a pool.
@@ -91,9 +91,9 @@ class Simulator {
   const SimOptions& options() const { return options_; }
 
   /// True when options().checkpoints is set AND this binding is eligible
-  /// (link-claim backend, contend_local_in off, tr > 0 and tl > 0, at least
-  /// one packet). Ineligible bindings silently fall back to full
-  /// resimulation, so results never depend on this flag.
+  /// (link-claim backend, tr > 0 and tl > 0, at least one packet).
+  /// Ineligible bindings silently fall back to full resimulation, so
+  /// results never depend on this flag.
   bool checkpointing_active() const { return ckpt_active_; }
   const CheckpointStats& checkpoint_stats() const { return ckpt_stats_; }
   void reset_checkpoint_stats() { ckpt_stats_ = CheckpointStats{}; }
@@ -106,32 +106,48 @@ class Simulator {
   void run_impl(const mapping::Mapping& mapping, SimulationResult& out);
   /// The general event loop: 4-ary heap, one event per router of every
   /// route, optional traces. Handles every SimOptions combination. With
-  /// Ckpt (scalar only) the loop resumes from `delivered0` deliveries /
-  /// `texec0` / `pops0` pops, maintains the per-packet queued-event shadow,
-  /// and snapshots the arena at every ckpt_interval_res_-th pop boundary.
-  template <bool Full, bool Ckpt = false>
+  /// Ckpt (scalar link-claim only) the loop resumes from `delivered0`
+  /// deliveries / `texec0` / `pops0` pops, maintains the per-packet
+  /// queued-event shadow, and snapshots the arena at every
+  /// ckpt_interval_res_-th pop boundary. With Flit it runs the flit
+  /// backend's policy hooks (see the definition); never with Ckpt.
+  template <bool Full, bool Ckpt = false, bool Flit = false>
   void run_heap_loop(SimulationResult& out, std::size_t delivered0 = 0,
                      double texec0 = 0.0, std::uint64_t pops0 = 0);
+  /// The flit backend's run: reset the port state, then the heap loop's
+  /// Flit instantiation. Kept out of line: inlined into run_impl, it made
+  /// the link-claim heap loop there ~15 % slower (10x10 and 12x10 boards,
+  /// GCC 12 -O3).
+  template <bool Full>
+  [[gnu::noinline]] void run_flit(SimulationResult& out);
   /// The integer-time fast path: bucket-calendar queue, final ejection
   /// fused into the last link claim. Scalar results only; byte-identical
   /// to run_heap_loop<false> (see bucket_mode_). `delivered0`/`texec0`
   /// resume a checkpointed suffix replay (the caller seeds bucket_ first).
   void run_bucket_loop(SimulationResult& out, std::size_t delivered0 = 0,
                        double texec0 = 0.0);
-  /// The flit backend (options_.backend == kFlit): the heap loop's link
-  /// arbitration plus finite-buffer admission gates and a backpressure
-  /// cascade. Every correction is a max(0, .)-style term that contributes
-  /// an exact +0.0 when the buffers are deep enough, so results degrade
-  /// bitwise to run_heap_loop (docs/simulation.md spells out the theorem).
-  template <bool Full>
-  void run_flit_loop(SimulationResult& out);
-  template <bool Full>
+  /// Inject `p` (a root, or its last predecessor just delivered): its
+  /// header reaches the source router tl after ready + computation time.
+  /// Injection never contends — local links overlap freely — so the only
+  /// choice is the queue: the bucket calendar or the heap.
+  template <bool Full, bool Bucket>
   void inject(graph::PacketId p, SimulationResult& out);
-  void inject_bucket(graph::PacketId p);
-  /// Traced path: insert the router occupancy record of `hop` (which
-  /// belongs *before* the link/local-out record appended just prior).
-  void record_router(graph::PacketId p, std::uint32_t hop, double arrival,
-                     double header_out, SimulationResult& out);
+  /// Deliver `p` at `delivered`: count it, fold it into the makespan, and
+  /// release its successors (injecting each whose last predecessor this
+  /// was). Shared by every loop and by checkpoint seeding.
+  template <bool Full, bool Bucket>
+  void deliver(graph::PacketId p, double delivered,
+               std::size_t& delivered_count, double& texec,
+               SimulationResult& out);
+  /// Flit policy: drain bookkeeping for the input port `p`'s head left
+  /// at `header_out` (the far end of links[hop-1]).
+  void drain_port(graph::PacketId p, std::uint32_t hop, double header_out,
+                  SimulationResult& out);
+  /// Traced path: append the hop and occupancy records of router `hop` and
+  /// of `exit`, the resource the worm leaves it by (a link, or the local
+  /// ejection port after the last router).
+  void record_hop(graph::PacketId p, std::uint32_t hop, noc::ResourceId exit,
+                  double arrival, double header_out, SimulationResult& out);
 
   /// Validate `mapping`'s shape (the one-time bind() check — the event loop
   /// itself is check-free), diff it against the bound mapping, and rebind
@@ -158,19 +174,16 @@ class Simulator {
   SimOptions options_;
   noc::RouteTable routes_;
 
-  /// Everything the event loop reads per event, packed to one cache line
-  /// per packet: the bound route's link row and length, the worm's
-  /// serialization time, the CSR successor range and the bounded-buffer
-  /// flag. `links` and `len` are rewritten by rebind_packet(); the rest is
-  /// immutable after construction.
+  /// Everything the event loop reads per event, in 32 bytes per packet:
+  /// the bound route's link row and length, the worm's serialization time
+  /// and the CSR successor range. `links` and `len` are rewritten by
+  /// rebind_packet(); the rest is immutable after construction.
   struct HotPacket {
     const noc::ResourceId* links = nullptr;
     double n_tl = 0.0;            ///< flits * tl (serialization time).
     std::uint32_t len = 0;        ///< K: routers on the bound route.
     std::uint32_t succ_begin = 0;
     std::uint32_t succ_end = 0;
-    std::uint8_t overflows_buffer = 0;  ///< Worm longer than a router
-                                        ///< buffer (backpressure applies).
   };
 
   // --- Bound once per (cdcg, tech): timing constants, immutable packet data.
@@ -267,8 +280,15 @@ class Simulator {
   detail::BucketQueue bucket_;
 
   // --- Flit backend (options_.backend == kFlit) ----------------------------
+  /// The flit policy's constants, resolved from options_ once.
+  struct FlitParams {
+    bool onoff = false;        ///< On/off flow control (else credit).
+    bool vct = false;          ///< Virtual cut-through (else wormhole).
+    double depth = 0.0;        ///< buffer_depth, in flits.
+    double stage_slots = 0.0;  ///< Slots a buffer offers a stalled worm.
+  };
+  FlitParams flit_;
   std::size_t flit_stride_ = 0;     ///< header-out slots per packet row.
-  double max_flits_ = 0.0;          ///< Largest packet, in flits.
   /// Per-(packet, hop) header-out history of the current run — the
   /// backpressure cascade needs the upstream flit-arrival schedule, which
   /// is not derivable from the head event alone.

@@ -161,28 +161,6 @@ TEST(ScheduleTest, RoutingAlgorithmChangesPathsAndPossiblyContention) {
   EXPECT_FALSE(ryx.occupancy[mesh.link_resource(0, 2)].empty());
 }
 
-TEST(ScheduleTest, LocalInjectionContentionIsOptional) {
-  // Two independent packets from the same core: with contend_local_in the
-  // core's single network interface streams them back-to-back; by default
-  // (the paper's model) local links overlap freely.
-  graph::Cdcg cdcg;
-  const auto a = cdcg.add_core("a");
-  const auto b = cdcg.add_core("b");
-  const auto c = cdcg.add_core("c");
-  cdcg.add_packet(a, b, 0, 10);
-  cdcg.add_packet(a, c, 0, 10);
-  const noc::Mesh mesh(3, 1);
-  const auto m = mapping::Mapping::from_assignment(mesh, {1, 0, 2});
-  SimOptions strict_options;
-  strict_options.contend_local_in = true;
-  const auto serialized = simulate(cdcg, mesh, m, unit_tech(), strict_options);
-  const auto relaxed = simulate(cdcg, mesh, m, unit_tech());
-  EXPECT_DOUBLE_EQ(relaxed.packets[0].inject_ns, 0.0);
-  EXPECT_DOUBLE_EQ(relaxed.packets[1].inject_ns, 0.0);
-  EXPECT_DOUBLE_EQ(serialized.packets[1].inject_ns, 10.0);  // After worm 0.
-  EXPECT_GT(serialized.texec_ns, relaxed.texec_ns);
-}
-
 TEST(ScheduleTest, MismatchedInputsThrow) {
   const auto cdcg = workload::paper_example_cdcg();
   const auto mesh = workload::paper_example_mesh();
@@ -217,36 +195,6 @@ TEST(ScheduleTest, EmptyCdcgRunsInZeroTime) {
   const auto result = simulate(cdcg, mesh, m, unit_tech());
   EXPECT_DOUBLE_EQ(result.texec_ns, 0.0);
   EXPECT_DOUBLE_EQ(result.energy.total_j(), 0.0);
-}
-
-TEST(ScheduleTest, BoundedBuffersIncreaseUpstreamPressure) {
-  // Chain contention: worm X blocks at the last hop while worm Y wants X's
-  // upstream link. With unbounded buffers Y proceeds as soon as X's tail
-  // clears that link; with tiny buffers the upstream link stays busy longer.
-  graph::Cdcg cdcg;
-  const auto a = cdcg.add_core("a");
-  const auto b = cdcg.add_core("b");
-  const auto c = cdcg.add_core("c");
-  const auto d = cdcg.add_core("d");
-  // Strip: a(t0) b(t1) c(t2) d(t3).
-  // Worm 0: b->d (long), occupies link t2->t3.
-  // Worm 1: a->d (long), blocks at t2 behind worm 0.
-  // Worm 2: a->c would be unaffected if buffers absorb worm 1... use b->c:
-  //          wants link t1->t2, which worm 1 holds longer when buffers are
-  //          bounded.
-  cdcg.add_packet(b, d, 0, 40);
-  cdcg.add_packet(a, d, 2, 40);
-  cdcg.add_packet(a, c, 30, 4);
-  const noc::Mesh mesh(4, 1);
-  const auto m = mapping::Mapping::from_assignment(mesh, {0, 1, 2, 3});
-
-  SimOptions unbounded;
-  SimOptions tiny;
-  tiny.buffer_flits = 2;
-  const auto loose = simulate(cdcg, mesh, m, unit_tech(), unbounded);
-  const auto tight = simulate(cdcg, mesh, m, unit_tech(), tiny);
-  EXPECT_GE(tight.total_contention_ns, loose.total_contention_ns);
-  EXPECT_GE(tight.texec_ns, loose.texec_ns);
 }
 
 }  // namespace

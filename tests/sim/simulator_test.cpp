@@ -137,25 +137,6 @@ TEST(SimulatorTest, RunTracedMatchesSimulateIncludingTraces) {
   }
 }
 
-TEST(SimulatorTest, HonoursBufferAndLocalInOptions) {
-  const graph::Cdcg cdcg = random_cdcg(10, 55);
-  const noc::Mesh mesh(4, 3);
-  const energy::Technology tech = energy::technology_0_07u();
-  SimOptions options;
-  options.record_traces = false;
-  options.buffer_flits = 2;
-  options.contend_local_in = true;
-
-  Simulator simulator(cdcg, mesh, tech, options);
-  util::Rng rng(8);
-  for (int trial = 0; trial < 10; ++trial) {
-    const mapping::Mapping m =
-        mapping::Mapping::random(mesh, cdcg.num_cores(), rng);
-    expect_same_scalars(simulator.run(m),
-                        simulate(cdcg, mesh, m, tech, options));
-  }
-}
-
 TEST(SimulatorTest, RejectsForeignMappings) {
   const graph::Cdcg cdcg = workload::paper_example_cdcg();
   const noc::Mesh mesh = workload::paper_example_mesh();
