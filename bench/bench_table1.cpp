@@ -1,6 +1,7 @@
 // Regenerates Table 1: "Summary of NoC/application features" — the 18-app
 // suite statistics, printed next to the paper's values. All rows must match
-// exactly except the documented 14-core row (DESIGN.md substitution note).
+// exactly except the documented 14-core row (docs/workloads.md,
+// substitution 4).
 //
 //   ./bench_table1 [--csv]
 
@@ -44,7 +45,7 @@ int main(int argc, char** argv) {
                cell(e.cdcg.num_packets(), e.paper_packets),
                util::format_grouped(e.cdcg.total_bits()) + " (" +
                    util::format_grouped(e.paper_bits) + ")",
-               all ? "yes" : "cores differ (see DESIGN.md)"});
+               all ? "yes" : "cores differ (see docs/workloads.md)"});
   }
 
   std::cout << (csv ? t.to_csv() : t.to_string());

@@ -78,7 +78,11 @@ struct ExplorerOptions {
   /// so any time-budgeted result is reproducible exactly by rerunning with
   /// the corresponding move budget (SaOptions::max_moves).
   double time_budget_ms = 0.0;
-  /// kAuto picks ES when placements / |symmetry group| is at most this.
+  /// kAuto picks ES when placements / min(|symmetry group|, tiles) is at
+  /// most this. The one decision covers both models, but only CWM's
+  /// exhaustive search is symmetry-collapsed: CDCM's enumerates the whole
+  /// uncollapsed space, up to min(|group|, tiles) times more placements
+  /// than the threshold counted (docs/search.md).
   std::uint64_t es_auto_threshold = 500'000;
   /// In compare(), seed the CDCM annealing run with the CWM winner: the
   /// CDCM search space contains the CWM solution, so the timing-aware model

@@ -3,7 +3,7 @@
 /// The simulator's event queue: a flat 4-ary min-heap over bit-packed keys.
 ///
 /// The wormhole scheduler pops header-arrival events in (time, packet, hop)
-/// order. Three properties make a specialized queue much faster than the
+/// order. These properties make a specialized queue much faster than the
 /// previous std::push_heap/std::pop_heap binary heap of structs:
 ///
 ///  * Event times are non-negative doubles, and the IEEE-754 bit pattern of a
@@ -16,15 +16,22 @@
 ///    extra (cache-local) child compares per level for half the levels —
 ///    a consistent win at the heap sizes the simulator produces.
 ///  * Almost every pop of a non-final hop immediately pushes that packet's
-///    next hop: replace_min() fuses the pair into a single sift-down, where
-///    pop-then-push would sift down *and* up.
+///    next hop, and that next hop is often the earliest event anyway:
+///    push_pop() hands it straight back without touching the heap when it
+///    precedes min(), and otherwise fuses the pair into a single sift-down
+///    (replace_min), where pop-then-push would sift down *and* up.
+///  * The sift-down picks the least of a full node's four children with a
+///    two-round tournament of branchless compares (conditional moves, no
+///    data-dependent branches): which child wins is close to random, so a
+///    branchy scan mispredicts about once per level.
 ///
 /// The key order is total for the simulator's workload — a packet has at
 /// most one in-flight event, so (time, packet) never collides — which makes
-/// the pop sequence independent of push order and of the heap arity. The
-/// simulator's results therefore do not depend on packet construction order
-/// or on this container's internals (regression-tested in
-/// tests/sim/event_order_test.cpp).
+/// the pop sequence independent of push order, of the heap arity and of
+/// whether an event ever enters the heap at all. The simulator's results
+/// therefore do not depend on packet construction order or on this
+/// container's internals (regression-tested in tests/sim/event_order_test.cpp
+/// and tests/sim/heap_path_test.cpp).
 
 #include <algorithm>
 #include <cstdint>
@@ -63,9 +70,13 @@ struct QueuedEvent {
   }
   std::uint32_t hop() const { return static_cast<std::uint32_t>(packet_hop); }
 
+  /// Lexicographic (time_key, packet_hop) order without a branch: the low
+  /// word's borrow is added to the other side of the high-word compare.
+  /// Exact for time_key < 2^64 - 1, which every non-negative double's bit
+  /// pattern is (its sign bit is clear).
   bool operator<(const QueuedEvent& o) const {
-    if (time_key != o.time_key) return time_key < o.time_key;
-    return packet_hop < o.packet_hop;
+    return time_key <
+           o.time_key + static_cast<std::uint64_t>(packet_hop < o.packet_hop);
   }
 };
 
@@ -98,32 +109,49 @@ class EventQueue {
     return top;
   }
 
-  /// Pop the minimum and push `e` in one sift-down — the fast path for
-  /// "this packet's header moves on to its next hop".
+  /// Pop the minimum and push `e` in one sift-down. Requires !empty().
   QueuedEvent replace_min(QueuedEvent e) {
     const QueuedEvent top = heap_.front();
     sift_down(e);
     return top;
   }
 
+  /// Push `e`, then pop and return the least queued key — `e` itself,
+  /// without touching the heap, when it precedes min() (or the queue is
+  /// empty). The fast path for "this packet's header moves on to its next
+  /// hop": the caller holds the event it processes outside the heap.
+  QueuedEvent push_pop(QueuedEvent e) {
+    if (heap_.empty() || e < heap_.front()) return e;
+    return replace_min(e);
+  }
+
  private:
   /// Place `v` starting from the root, moving smaller children up.
   void sift_down(QueuedEvent v) {
+    QueuedEvent* const h = heap_.data();
     const std::size_t n = heap_.size();
     std::size_t i = 0;
     for (;;) {
-      std::size_t child = (i << 2) + 1;
-      if (child >= n) break;
-      const std::size_t end = child + 4 < n ? child + 4 : n;
-      std::size_t best = child;
-      for (std::size_t c = child + 1; c < end; ++c) {
-        if (heap_[c] < heap_[best]) best = c;
+      const std::size_t c = (i << 2) + 1;
+      std::size_t best;
+      if (c + 4 <= n) {
+        // A full node: the least of four in two branchless rounds.
+        const std::size_t lo = c + (h[c + 1] < h[c]);
+        const std::size_t hi = c + 2 + (h[c + 3] < h[c + 2]);
+        best = h[hi] < h[lo] ? hi : lo;
+      } else {
+        // The one partial node at the bottom of the heap.
+        if (c >= n) break;
+        best = c;
+        for (std::size_t k = c + 1; k < n; ++k) {
+          if (h[k] < h[best]) best = k;
+        }
       }
-      if (!(heap_[best] < v)) break;
-      heap_[i] = heap_[best];
+      if (!(h[best] < v)) break;
+      h[i] = h[best];
       i = best;
     }
-    heap_[i] = v;
+    h[i] = v;
   }
 
   std::vector<QueuedEvent> heap_;

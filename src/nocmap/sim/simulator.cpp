@@ -653,6 +653,16 @@ void Simulator::run_ckpt(SimulationResult& out) {
 ///  (c) backpressure — a stalled worm's body parks across the input buffers
 ///      along its path; whatever a buffer cannot absorb keeps the link
 ///      feeding it busy past its nominal tail time.
+///
+/// Every instantiation but Ckpt keeps the event it processes out of the
+/// heap: a header's next hop goes back through push_pop(), which hands it
+/// straight back when it precedes every queued key (most pops on the large
+/// boards) instead of sifting it in and out. Scalar link-claim runs also
+/// fuse the final ejection into the last link claim, as the bucket loop
+/// does. Neither changes a pop: every key pushed while processing an event
+/// is strictly later than it (tl > 0 is validated), so the processed events
+/// still come out in global key order. The Ckpt instantiation keeps every
+/// queued event in the heap, because its snapshots read queue_.min().
 template <bool Full, bool Ckpt, bool Flit>
 void Simulator::run_heap_loop(SimulationResult& out, std::size_t delivered0,
                               double texec0, std::uint64_t pops0) {
@@ -664,120 +674,153 @@ void Simulator::run_heap_loop(SimulationResult& out, std::size_t delivered0,
   const FlitParams flit = flit_;
   std::size_t delivered_count = delivered0;
   double texec = texec0;
-  std::uint64_t pops = pops0;
-  std::uint64_t next_rec = 0;
+
+  // Router `hop` of `p`'s route claims links[hop] for the header arriving
+  // at `arrival`; returns the header-out time.
+  const auto claim_link = [&](graph::PacketId p, std::uint32_t hop,
+                              double arrival) {
+    const HotPacket& hp = hot_[p];
+    const double n_tl = hp.n_tl;
+    const noc::ResourceId link = hp.links[hop];
+    const double free_at = link_free_[link];
+    double wait = arrival < free_at ? free_at - arrival : 0.0;
+    if constexpr (Flit) {
+      // (a) Downstream admission. port_slot_free_/port_clear_ stay 0.0
+      // for ports no worm could have filled, so the gate is +0.0 then.
+      const double slot = port_slot_free_[link];
+      const double gate = flit.vct ? port_clear_[link]
+                                   : (flit.onoff && slot > 0.0 ? slot + tl
+                                                               : slot);
+      const double granted = arrival + wait;
+      const double admit_wait = granted < gate ? gate - granted : 0.0;
+      out.flit_stall_ns += admit_wait;
+      wait += admit_wait;
+    }
+    contention_[p] += wait;
+    out.total_contention_ns += wait;
+    if constexpr (Full) {
+      if (wait > 0.0) contended_down_[p] = 1;
+    }
+    const double header_out = arrival + wait + tr;
+    link_free_[link] = header_out + n_tl;
+    if constexpr (Flit) {
+      hout_arena_[p * flit_stride_ + hop] = header_out;
+      if (hop > 0) {
+        drain_port(p, hop, header_out, out);  // (b)
+        // (c) Backpressure cascade. The head stalled `wait`; its body
+        // backs up into the buffers behind it, each stage absorbing what
+        // fits, and any leftover keeps the link feeding that stage busy.
+        // Under VCT the downstream buffer holds the whole worm (depth >=
+        // flits, validated), so upstream links are never held.
+        if (wait > 0.0 && !flit.vct) {
+          const double* hout_row = &hout_arena_[p * flit_stride_];
+          double remaining = wait;
+          double body = flits_[p] - 1.0;  // Flits behind the head.
+          double cap = flit.stage_slots - 1.0;  // The head holds one slot.
+          std::uint32_t k = hop;
+          while (k > 0 && body > 0.0) {
+            const double park = std::min(body, cap > 0.0 ? cap : 0.0);
+            remaining -= park * tl;
+            body -= park;
+            if (remaining <= 0.0 || body <= 0.0) break;
+            const noc::ResourceId up = hp.links[k - 1];
+            const double tail_done = hout_row[k - 1] + n_tl + remaining;
+            if (tail_done > link_free_[up]) {
+              out.flit_backpressure_ns += tail_done - link_free_[up];
+              link_free_[up] = tail_done;
+            }
+            --k;
+            cap = flit.stage_slots;
+          }
+        }
+      }
+    }
+    if constexpr (Full) {
+      if (options_.record_traces) {
+        record_hop(p, hop, link, arrival, header_out, out);
+      }
+    }
+    return header_out;
+  };
+
+  // Ejection from the last router to the destination core: never blocks
+  // (the destination NI always accepts flits). Under the flit policy the
+  // final router's input port still drains at flit rate, so following
+  // worms see its slot-free / all-clear times.
+  const auto eject = [&](graph::PacketId p, std::uint32_t hop,
+                         double arrival) {
+    const double header_out = arrival + tr;
+    if constexpr (Flit) drain_port(p, hop, header_out, out);
+    if constexpr (Full) {
+      if (options_.record_traces) {
+        record_hop(p, hop, dst_local_out_[p], arrival, header_out, out);
+      }
+    }
+    deliver<Full, false>(p, header_out + hot_[p].n_tl, delivered_count,
+                         texec, out);
+  };
+
   if constexpr (Ckpt) {
-    next_rec = (pops0 / ckpt_interval_res_ + 1) * ckpt_interval_res_;
-  }
-  while (!queue_.empty()) {
-    if constexpr (Ckpt) {
+    std::uint64_t pops = pops0;
+    std::uint64_t next_rec =
+        (pops0 / ckpt_interval_res_ + 1) * ckpt_interval_res_;
+    while (!queue_.empty()) {
       if (pops == next_rec) {
         record_ckpt(pops, delivered_count, texec, out);
         next_rec += ckpt_interval_res_;
       }
-    }
-    const detail::QueuedEvent ev = queue_.min();
-    const graph::PacketId p = ev.packet();
-    const std::uint32_t hop = ev.hop();
-    const double arrival = ev.time_ns();
-    const HotPacket& hp = hot_[p];
-    const double n_tl = hp.n_tl;
-
-    if (hop + 1 != hp.len) {
-      const noc::ResourceId link = hp.links[hop];
-      const double free_at = link_free_[link];
-      double wait = arrival < free_at ? free_at - arrival : 0.0;
-      if constexpr (Flit) {
-        // (a) Downstream admission. port_slot_free_/port_clear_ stay 0.0
-        // for ports no worm could have filled, so the gate is +0.0 then.
-        const double slot = port_slot_free_[link];
-        const double gate = flit.vct ? port_clear_[link]
-                                     : (flit.onoff && slot > 0.0 ? slot + tl
-                                                                 : slot);
-        const double granted = arrival + wait;
-        const double admit_wait = granted < gate ? gate - granted : 0.0;
-        out.flit_stall_ns += admit_wait;
-        wait += admit_wait;
-      }
-      contention_[p] += wait;
-      out.total_contention_ns += wait;
-      if constexpr (Full) {
-        if (wait > 0.0) contended_down_[p] = 1;
-      }
-      const double header_out = arrival + wait + tr;
-      link_free_[link] = header_out + n_tl;
-      if constexpr (Flit) {
-        hout_arena_[p * flit_stride_ + hop] = header_out;
-        if (hop > 0) {
-          drain_port(p, hop, header_out, out);  // (b)
-          // (c) Backpressure cascade. The head stalled `wait`; its body
-          // backs up into the buffers behind it, each stage absorbing what
-          // fits, and any leftover keeps the link feeding that stage busy.
-          // Under VCT the downstream buffer holds the whole worm (depth >=
-          // flits, validated), so upstream links are never held.
-          if (wait > 0.0 && !flit.vct) {
-            const double* hout_row = &hout_arena_[p * flit_stride_];
-            double remaining = wait;
-            double body = flits_[p] - 1.0;  // Flits behind the head.
-            double cap = flit.stage_slots - 1.0;  // The head holds one slot.
-            std::uint32_t k = hop;
-            while (k > 0 && body > 0.0) {
-              const double park = std::min(body, cap > 0.0 ? cap : 0.0);
-              remaining -= park * tl;
-              body -= park;
-              if (remaining <= 0.0 || body <= 0.0) break;
-              const noc::ResourceId up = hp.links[k - 1];
-              const double tail_done = hout_row[k - 1] + n_tl + remaining;
-              if (tail_done > link_free_[up]) {
-                out.flit_backpressure_ns += tail_done - link_free_[up];
-                link_free_[up] = tail_done;
-              }
-              --k;
-              cap = flit.stage_slots;
-            }
-          }
-        }
-      }
-      if constexpr (Full) {
-        if (options_.record_traces) {
-          record_hop(p, hop, link, arrival, header_out, out);
-        }
-      }
-      if constexpr (Ckpt) {
+      const detail::QueuedEvent ev = queue_.min();
+      const graph::PacketId p = ev.packet();
+      const std::uint32_t hop = ev.hop();
+      if (hop + 1 != hot_[p].len) {
+        const double header_out = claim_link(p, hop, ev.time_ns());
         ev_time_[p] = header_out + tl;
         ev_hop_[p] = hop + 1;
+        // The header's next arrival replaces this event in one sift-down.
+        queue_.replace_min(
+            detail::QueuedEvent::make(header_out + tl, p, hop + 1));
+      } else {
+        queue_.pop_min();
+        ev_state_[p] = 2;
+        eject(p, hop, ev.time_ns());
       }
-      // The header's next arrival replaces this event in one sift-down.
-      queue_.replace_min(detail::QueuedEvent::make(header_out + tl, p,
-                                                   hop + 1));
-    } else {
-      queue_.pop_min();
-      // Ejection to the destination core: never blocks (the destination NI
-      // always accepts flits). Under the flit policy the final router's
-      // input port still drains at flit rate, so following worms see its
-      // slot-free / all-clear times.
-      const double header_out = arrival + tr;
-      if constexpr (Flit) drain_port(p, hop, header_out, out);
-      if constexpr (Full) {
-        if (options_.record_traces) {
-          record_hop(p, hop, dst_local_out_[p], arrival, header_out, out);
-        }
-      }
-      if constexpr (Ckpt) ev_state_[p] = 2;
-      deliver<Full, false>(p, header_out + n_tl, delivered_count, texec, out);
+      ++pops;
     }
-    ++pops;
-  }
-  out.texec_ns = texec;
-
-  if constexpr (Ckpt) {
     ckpt_run_pops_ = pops;
     // End-of-run snapshot: it serves identity rebinds (re-evaluating the
     // same mapping restores it and replays nothing).
     if (ckpt_count_ == 0 || ckpts_[ckpt_count_ - 1].pops != pops) {
       record_ckpt(pops, delivered_count, texec, out);
     }
+  } else if (!queue_.empty()) {
+    // A delivery only releases successors, so a scalar link-claim run needs
+    // no ejection event (the flit policy drains the last port, and traced
+    // runs record the ejection hop).
+    constexpr bool kFuseEjection = !Full && !Flit;
+    detail::QueuedEvent ev = queue_.pop_min();
+    for (;;) {
+      const graph::PacketId p = ev.packet();
+      const std::uint32_t hop = ev.hop();
+      const HotPacket& hp = hot_[p];
+      if (hop + 1 != hp.len) {
+        const double header_out = claim_link(p, hop, ev.time_ns());
+        if (!kFuseEjection || hop + 2 != hp.len) {
+          ev = queue_.push_pop(
+              detail::QueuedEvent::make(header_out + tl, p, hop + 1));
+          continue;
+        }
+        // The association of the unfused ejection event: its arrival is
+        // header_out + tl, then + tr, then + n_tl.
+        deliver<false, false>(p, ((header_out + tl) + tr) + hp.n_tl,
+                              delivered_count, texec, out);
+      } else {
+        eject(p, hop, ev.time_ns());
+      }
+      if (queue_.empty()) break;
+      ev = queue_.pop_min();
+    }
   }
+  out.texec_ns = texec;
 
   if (delivered_count != num_packets) {
     throw std::logic_error("simulate: not all packets were delivered");

@@ -105,8 +105,11 @@ class Simulator {
   template <bool Full>
   void run_impl(const mapping::Mapping& mapping, SimulationResult& out);
   /// The general event loop: 4-ary heap, one event per router of every
-  /// route, optional traces. Handles every SimOptions combination. With
-  /// Ckpt (scalar link-claim only) the loop resumes from `delivered0`
+  /// route, optional traces. Handles every SimOptions combination. Without
+  /// Ckpt the event being processed stays out of the heap (push_pop), and
+  /// scalar link-claim runs fuse the final ejection into the last link
+  /// claim; neither moves a pop. With Ckpt (scalar link-claim only) the
+  /// loop keeps every queued event in the heap, resumes from `delivered0`
   /// deliveries / `texec0` / `pops0` pops, maintains the per-packet
   /// queued-event shadow, and snapshots the arena at every
   /// ckpt_interval_res_-th pop boundary. With Flit it runs the flit

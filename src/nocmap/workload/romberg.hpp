@@ -3,9 +3,9 @@
 /// Distributed Romberg integration — one of the paper's four embedded
 /// applications (Table 1).
 ///
-/// Structure (substitution #2 in DESIGN.md): a master core scatters interval
-/// descriptors; the workers then iterate refinement rounds in which each
-/// worker (a) passes its sub-interval boundary values to its ring neighbour
+/// Structure (docs/workloads.md, substitution 2): a master core scatters
+/// interval descriptors; the workers then iterate refinement rounds in which
+/// each worker (a) passes its sub-interval boundary values to its ring neighbour
 /// — a small, latency-critical packet that gates the neighbour's next round
 /// — and (b) uploads a bulk partial-sum column to the master. After the last
 /// round each worker uploads its final tableau row and the master exchanges

@@ -8,7 +8,7 @@
 /// 3x2 to 12x10. Core counts, packet counts and total bit volumes match
 /// Table 1 exactly, with one documented deviation: the paper lists a 14-core
 /// application on the 12-tile 3x4 NoC, which cannot be a one-core-per-tile
-/// mapping; we build it with 12 cores (see DESIGN.md).
+/// mapping; we build it with 12 cores (docs/workloads.md, substitution 4).
 
 #include <cstdint>
 #include <string>

@@ -6,12 +6,15 @@
 /// order or queue internals. Two regression angles:
 ///
 ///  * the detail::EventQueue / detail::BucketQueue contract directly:
-///    permuted pushes pop in one canonical order;
+///    permuted pushes pop in one canonical order, and random interleavings
+///    of every EventQueue operation match a sorted reference step by step;
 ///  * end to end: two CDCGs that are the same application with packets
 ///    *constructed in permuted order* yield exactly permuted traces — no
 ///    result leaks the construction order.
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -71,6 +74,118 @@ TEST(EventQueueTest, ReplaceMinEqualsPopThenPush) {
     EXPECT_EQ(from_replace.time_key, from_pop.time_key);
     EXPECT_EQ(from_replace.packet_hop, from_pop.packet_hop);
   }
+}
+
+bool lexicographic_less(const detail::QueuedEvent& a,
+                        const detail::QueuedEvent& b) {
+  if (a.time_key != b.time_key) return a.time_key < b.time_key;
+  return a.packet_hop < b.packet_hop;
+}
+
+TEST(EventQueueTest, BranchlessCompareIsLexicographic) {
+  // Edge words included: the low word's borrow must never wrap the high
+  // compare for any non-negative double's bit pattern.
+  const std::uint64_t times[] = {
+      0, 1, 2, detail::QueuedEvent::time_bits(0.7),
+      detail::QueuedEvent::time_bits(1.0e300),
+      detail::QueuedEvent::time_bits(std::numeric_limits<double>::max()),
+      detail::QueuedEvent::time_bits(
+          std::numeric_limits<double>::infinity())};
+  const std::uint64_t words[] = {0, 1, 5, (1ull << 32) | 3,
+                                 std::numeric_limits<std::uint64_t>::max()};
+  for (const std::uint64_t ta : times) {
+    for (const std::uint64_t tb : times) {
+      for (const std::uint64_t wa : words) {
+        for (const std::uint64_t wb : words) {
+          const detail::QueuedEvent a{ta, wa};
+          const detail::QueuedEvent b{tb, wb};
+          EXPECT_EQ(a < b, lexicographic_less(a, b))
+              << ta << "," << wa << " vs " << tb << "," << wb;
+        }
+      }
+    }
+  }
+}
+
+// Random interleavings of every queue operation, checked step by step
+// against a sorted reference. Times come from a small range, so equal-time
+// ties (broken by packet, then hop) are the common case. After every
+// operation min() must be the least queued key: the simulator's heap loop
+// compares a header's next hop against min() to decide whether it can
+// skip the heap.
+TEST(EventQueueTest, RandomInterleavingsMatchASortedReference) {
+  util::Rng rng(2024);
+  for (int trial = 0; trial < 40; ++trial) {
+    detail::EventQueue queue;
+    std::vector<detail::QueuedEvent> ref;  // Kept sorted.
+    const auto random_event = [&] {
+      return detail::QueuedEvent::make(
+          static_cast<double>(rng.index(6)),
+          static_cast<std::uint32_t>(rng.index(9)),
+          static_cast<std::uint32_t>(rng.index(3)));
+    };
+    const auto ref_insert = [&](const detail::QueuedEvent& e) {
+      ref.insert(
+          std::upper_bound(ref.begin(), ref.end(), e, lexicographic_less), e);
+    };
+    const auto expect_same = [](const detail::QueuedEvent& got,
+                                const detail::QueuedEvent& want) {
+      EXPECT_EQ(got.time_key, want.time_key);
+      EXPECT_EQ(got.packet_hop, want.packet_hop);
+    };
+    for (int step = 0; step < 400; ++step) {
+      const std::size_t op = ref.empty() ? 0 : rng.index(4);
+      if (op == 0) {
+        const detail::QueuedEvent e = random_event();
+        queue.push(e);
+        ref_insert(e);
+      } else if (op == 1) {
+        expect_same(queue.pop_min(), ref.front());
+        ref.erase(ref.begin());
+      } else if (op == 2) {
+        const detail::QueuedEvent e = random_event();
+        expect_same(queue.replace_min(e), ref.front());
+        ref.erase(ref.begin());
+        ref_insert(e);
+      } else {
+        const detail::QueuedEvent e = random_event();
+        ref_insert(e);
+        expect_same(queue.push_pop(e), ref.front());
+        ref.erase(ref.begin());
+      }
+      ASSERT_EQ(queue.size(), ref.size()) << "trial " << trial;
+      ASSERT_EQ(queue.empty(), ref.empty());
+      if (!ref.empty()) expect_same(queue.min(), ref.front());
+    }
+    while (!ref.empty()) {
+      expect_same(queue.pop_min(), ref.front());
+      ref.erase(ref.begin());
+      if (!ref.empty()) expect_same(queue.min(), ref.front());
+    }
+    EXPECT_TRUE(queue.empty());
+  }
+}
+
+TEST(EventQueueTest, PushPopReturnsTheNewKeyWithoutQueueingItWhenItLeads) {
+  detail::EventQueue queue;
+  // An empty queue hands the key straight back.
+  const detail::QueuedEvent first = detail::QueuedEvent::make(3.0, 1, 0);
+  EXPECT_EQ(queue.push_pop(first).packet_hop, first.packet_hop);
+  EXPECT_TRUE(queue.empty());
+  queue.push(detail::QueuedEvent::make(5.0, 1, 0));
+  queue.push(detail::QueuedEvent::make(5.0, 2, 1));
+  // Earlier time, and equal time with a lower packet id: both lead.
+  EXPECT_EQ(queue.push_pop(detail::QueuedEvent::make(4.0, 7, 2)).packet(), 7u);
+  EXPECT_EQ(queue.push_pop(detail::QueuedEvent::make(5.0, 0, 3)).hop(), 3u);
+  EXPECT_EQ(queue.size(), 2u);
+  // A later key is queued and the old minimum comes out.
+  const detail::QueuedEvent out =
+      queue.push_pop(detail::QueuedEvent::make(5.0, 1, 4));
+  EXPECT_EQ(out.packet(), 1u);
+  EXPECT_EQ(out.hop(), 0u);
+  EXPECT_EQ(queue.size(), 2u);
+  EXPECT_EQ(queue.min().packet(), 1u);
+  EXPECT_EQ(queue.min().hop(), 4u);
 }
 
 TEST(BucketQueueTest, PopsByBucketThenPacketForAnyPushOrder) {

@@ -46,7 +46,8 @@ TEST(SuiteTest, BuiltGraphsMatchTheirRowExceptTheDocumentedDeviation) {
     EXPECT_EQ(e.cdcg.num_packets(), e.paper_packets) << e.name;
     EXPECT_EQ(e.cdcg.total_bits(), e.paper_bits) << e.name;
     if (e.name == "random-7") {
-      // Paper says 14 cores on a 12-tile mesh; we build 12 (DESIGN.md).
+      // Paper says 14 cores on a 12-tile mesh; we build 12 (docs/workloads.md,
+      // substitution 4).
       EXPECT_EQ(e.cdcg.num_cores(), 12u);
       EXPECT_EQ(e.paper_cores, 14u);
     } else {
